@@ -11,7 +11,8 @@
 //!   dominates: parse, submit and rendezvous, encode and kernel.
 //!
 //! Every fourth response is parsed and compared bit for bit with the
-//! model's direct `predict_proba` / `predict_proba_k` on the same rows.
+//! model's direct `predict_proba` / `predict_proba_k` on the same rows;
+//! one differing response fails the run's score gate.
 //!
 //! A traced run splits one request's time from outside: the HTTP
 //! handler wrapping `spe_server::http::handle` is timed (handle), the
@@ -24,7 +25,7 @@ use crate::common::{
 };
 use crate::json::{self, Value};
 use crate::report::{Gates, Outcome};
-use crate::stats::{median, slo_rps, tail, Rung, Timed};
+use crate::stats::{median, relative_spread, slo_rps, tail, Rung, Timed};
 use crate::trace::time_ms;
 use crate::RunArgs;
 use httpd::{ClientConn, HttpServer, Request};
@@ -109,6 +110,7 @@ struct Body {
 struct Served {
     registry: Arc<ModelRegistry>,
     times: Arc<HandleTimes>,
+    check: ScoreCheck,
     /// Stops its worker threads when dropped.
     server: HttpServer,
     bodies: Vec<Body>,
@@ -226,6 +228,7 @@ fn set_up(seed: u64, rows_per_body: usize, with_kway: bool) -> Result<Served, St
     Ok(Served {
         registry,
         times,
+        check: ScoreCheck::default(),
         server,
         bodies: bodies(pool, rows_per_body, &expected, &expected_k, k),
         hashes,
@@ -233,14 +236,15 @@ fn set_up(seed: u64, rows_per_body: usize, with_kway: bool) -> Result<Served, St
     })
 }
 
-/// Set-up `SETUP_REPS` times: median seconds, the last set-up, and a
-/// gate that every set-up trained the same models.
+/// Set-up `SETUP_REPS` times: median seconds, the spread of those
+/// times, the last set-up, and a gate that every set-up trained the
+/// same models.
 fn timed_setup(
     seed: u64,
     rows_per_body: usize,
     with_kway: bool,
     gates: &mut Gates,
-) -> Result<(f64, Served), String> {
+) -> Result<(f64, f64, Served), String> {
     let mut times = Vec::new();
     let mut last: Option<Served> = None;
     for _ in 0..SETUP_REPS {
@@ -258,11 +262,15 @@ fn timed_setup(
         times.push(ms / 1e3);
         last = Some(served);
     }
-    Ok((median(&times), last.expect("SETUP_REPS > 0")))
+    Ok((
+        median(&times),
+        relative_spread(&times),
+        last.expect("SETUP_REPS > 0"),
+    ))
 }
 
 /// Whether a 200 response carries exactly the expected scores.
-fn response_matches(body: &[u8], expected: &[f64], expected_k: &[f64], kway: bool) -> bool {
+pub fn response_matches(body: &[u8], expected: &[f64], expected_k: &[f64], kway: bool) -> bool {
     let Ok(v) = std::str::from_utf8(body)
         .map_err(|e| e.to_string())
         .and_then(json::parse)
@@ -292,15 +300,60 @@ fn response_matches(body: &[u8], expected: &[f64], expected_k: &[f64], kway: boo
     }
 }
 
-/// Sends request `i` over HTTP; true on a 200 whose scores check out
-/// (checked on every `CHECK_EVERY`-th request).
+/// The score gate: sampled 200 responses, each compared bit for bit
+/// with the direct scores. A mismatch is not a transport failure; it
+/// fails the gate, so the run reports `correct: false`.
+#[derive(Debug, Default)]
+pub struct ScoreCheck {
+    checked: AtomicU64,
+    mismatches: AtomicU64,
+}
+
+impl ScoreCheck {
+    /// Compares one response body with the expected scores and records
+    /// the outcome; true when it matched.
+    pub fn record(&self, body: &[u8], expected: &[f64], expected_k: &[f64], kway: bool) -> bool {
+        let ok = response_matches(body, expected, expected_k, kway);
+        self.checked.fetch_add(1, Ordering::Relaxed);
+        if !ok {
+            self.mismatches.fetch_add(1, Ordering::Relaxed);
+        }
+        ok
+    }
+
+    /// Responses compared so far, and how many of them differed.
+    pub fn counts(&self) -> (u64, u64) {
+        (
+            self.checked.load(Ordering::Relaxed),
+            self.mismatches.load(Ordering::Relaxed),
+        )
+    }
+
+    /// Fails `gates` unless some responses were compared and all of
+    /// them matched.
+    pub fn gate(&self, gates: &mut Gates) {
+        let (checked, mismatches) = self.counts();
+        gates.check(checked > 0 && mismatches == 0, || {
+            format!(
+                "{mismatches} of {checked} sampled HTTP responses differ from the direct scores"
+            )
+        });
+    }
+}
+
+/// Sends request `i` over HTTP; true on a 200. Every `CHECK_EVERY`-th
+/// answer goes through the score gate.
 fn http_send(conn: &mut ClientConn, served: &Served, i: usize, kway: bool) -> bool {
     let body = &served.bodies[i % served.bodies.len()];
     let path = if kway { KWAY } else { BINARY };
     match conn.request("POST", path, &[], &body.text, CLIENT_TIMEOUT) {
         Ok(resp) if resp.status == 200 => {
-            !i.is_multiple_of(CHECK_EVERY)
-                || response_matches(&resp.body, &body.expected, &body.expected_k, kway)
+            if i.is_multiple_of(CHECK_EVERY) {
+                served
+                    .check
+                    .record(&resp.body, &body.expected, &body.expected_k, kway);
+            }
+            true
         }
         _ => false,
     }
@@ -524,12 +577,13 @@ fn server_failures(out: &mut Vec<(&'static str, f64)>, served: &Served) {
 
 pub fn serve_small(args: &RunArgs) -> Result<Outcome, String> {
     let mut gates = Gates::default();
-    let (setup_s, served) = timed_setup(args.seed, 1, false, &mut gates)?;
+    let (setup_s, setup_spread, served) = timed_setup(args.seed, 1, false, &mut gates)?;
     let mut conns = connect(&served, nproc())?;
     let send = |c: &mut ClientConn, i: usize| http_send(c, &served, i, false);
     let mut details = Value::object();
     details
         .insert("setup_s", setup_s)
+        .insert("setup_s_spread", setup_spread)
         .insert("limit_ms", LIMIT_MS)
         .insert("reference_rate", REFERENCE_RATE)
         .insert("open_loop", "fixed spacing, due-time latency");
@@ -571,12 +625,14 @@ pub fn serve_small(args: &RunArgs) -> Result<Outcome, String> {
             .insert("score_tail_ms", ref_tail.value)
             .insert("score_tail_percentile", ref_tail.percentile)
             .insert("score_tail_beyond", ref_tail.beyond);
+        let p50 = median(&reference.latencies_ms());
+        details.insert("score_p50_ms", p50);
         let sent = ladder.iter().flat_map(|r| &r.requests).filter(|r| r.sent);
         let (attempted, failed) = sent.fold((0, 0), |(n, f), r| (n + 1, f + usize::from(!r.ok)));
         let metrics = vec![
             ("setup_s", setup_s),
+            ("op_ms", p50),
             ("peak_rss_mb", peak_rss_mb()),
-            ("score_p50_ms", median(&reference.latencies_ms())),
         ];
         (metrics, attempted, failed)
     } else {
@@ -628,6 +684,11 @@ pub fn serve_small(args: &RunArgs) -> Result<Outcome, String> {
         (m, all.len(), failed)
     };
     drop(conns);
+    served.check.gate(&mut gates);
+    let (checked, mismatches) = served.check.counts();
+    details
+        .insert("checked_responses", checked)
+        .insert("score_mismatches", mismatches);
     Ok(Outcome {
         attempted: attempted as u64,
         failed_ops: failed as u64,
@@ -724,12 +785,13 @@ impl Bulk {
 
 pub fn serve_bulk(args: &RunArgs) -> Result<Outcome, String> {
     let mut gates = Gates::default();
-    let (setup_s, served) = timed_setup(args.seed, BULK_ROWS, true, &mut gates)?;
+    let (setup_s, setup_spread, served) = timed_setup(args.seed, BULK_ROWS, true, &mut gates)?;
     let mut conns = connect(&served, nproc())?;
     let send = |c: &mut ClientConn, i: usize, kway: bool| http_send(c, &served, i, kway);
     let mut details = Value::object();
     details
         .insert("setup_s", setup_s)
+        .insert("setup_s_spread", setup_spread)
         .insert("rows_per_request", BULK_ROWS)
         .insert("slice_s", SLICE_S)
         .insert("closed_loop_connections", nproc());
@@ -739,25 +801,27 @@ pub fn serve_bulk(args: &RunArgs) -> Result<Outcome, String> {
         let t = tail(&evenly_capped(&lat)).ok_or("too few binary requests for a tail")?;
         // As on serve_small, the tail moved too much from run to run on a
         // shared 2-vCPU host to be bounded; it is reported here.
+        let (p50, kway_p50) = (median(&lat), median(&Bulk::latencies(&load.kway)));
         details
             .insert("binary_requests", load.binary.len())
             .insert("kway_requests", load.kway.len())
             .insert("score_tail_ms", t.value)
             .insert("score_tail_percentile", t.percentile)
             .insert("score_tail_beyond", t.beyond)
-            .insert("kway_p50_ms", median(&Bulk::latencies(&load.kway)));
-        let metrics = vec![
-            ("setup_s", setup_s),
-            ("peak_rss_mb", peak_rss_mb()),
-            ("score_p50_ms", median(&lat)),
-            (
+            .insert("score_p50_ms", p50)
+            .insert("kway_p50_ms", kway_p50)
+            .insert(
                 "rows_per_s",
                 Bulk::rows_per_s(&load.binary, load.binary_wall),
-            ),
-            (
+            )
+            .insert(
                 "kway_rows_per_s",
                 Bulk::rows_per_s(&load.kway, load.kway_wall),
-            ),
+            );
+        let metrics = vec![
+            ("setup_s", setup_s),
+            ("op_ms", p50 + kway_p50),
+            ("peak_rss_mb", peak_rss_mb()),
         ];
         let (n, f) = load.counts();
         (metrics, n, f)
@@ -819,6 +883,11 @@ pub fn serve_bulk(args: &RunArgs) -> Result<Outcome, String> {
         (m, n1 + n2 + n3, f1 + f2 + f3)
     };
     drop(conns);
+    served.check.gate(&mut gates);
+    let (checked, mismatches) = served.check.counts();
+    details
+        .insert("checked_responses", checked)
+        .insert("score_mismatches", mismatches);
     Ok(Outcome {
         attempted: attempted as u64,
         failed_ops: failed as u64,

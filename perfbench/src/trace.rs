@@ -192,11 +192,19 @@ impl Model for TracedModel {
 /// A chunk stream whose reads are timed and counted.
 pub struct TracedSource<S> {
     inner: S,
+    /// Size on disk of the file each chunk after a reset is read from,
+    /// in order: the bytes a pass reads, headers and checksums included.
+    file_bytes: Vec<u64>,
+    next: usize,
 }
 
 impl<S: ChunkedSource> TracedSource<S> {
-    pub fn new(inner: S) -> Self {
-        Self { inner }
+    pub fn new(inner: S, file_bytes: Vec<u64>) -> Self {
+        Self {
+            inner,
+            file_bytes,
+            next: 0,
+        }
     }
 }
 
@@ -214,6 +222,7 @@ impl<S: ChunkedSource> ChunkedSource for TracedSource<S> {
     }
 
     fn reset(&mut self) -> Result<(), SpeError> {
+        self.next = 0;
         self.inner.reset()
     }
 
@@ -222,10 +231,16 @@ impl<S: ChunkedSource> ChunkedSource for TracedSource<S> {
         let more = self.inner.next_chunk(out)?;
         add(Counter::ShardReadNs, elapsed_ns(t0));
         if more {
-            // Decoded payload: f64 features plus a u8 label per row.
-            let bytes = out.rows() * (8 * out.n_features() + 1);
-            add(Counter::ShardBytes, bytes as u64);
+            let bytes = self.file_bytes.get(self.next).ok_or_else(|| {
+                SpeError::InvalidConfig(format!(
+                    "chunk {} has no file among the {} listed",
+                    self.next,
+                    self.file_bytes.len()
+                ))
+            })?;
+            add(Counter::ShardBytes, *bytes);
             add(Counter::ShardChunks, 1);
+            self.next += 1;
         }
         Ok(more)
     }

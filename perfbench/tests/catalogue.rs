@@ -2,7 +2,7 @@
 //! must name the same metrics with the same units.
 
 use perfbench::json::{parse, Value};
-use perfbench::report::{END_TO_END, PER_LAYER, TRACE_EXTRA};
+use perfbench::report::{self, Gates, Outcome, END_TO_END, PER_LAYER, TRACE_EXTRA};
 use perfbench::WORKLOADS;
 
 fn benchmark_json() -> Value {
@@ -69,4 +69,33 @@ fn bounds_are_within_the_allowed_range_and_setup_has_the_largest() {
         assert!(bound(m) > 0.0 && bound(m) <= 0.25);
         assert!(bound(m) <= bound(setup));
     }
+}
+
+fn outcome(metrics: Vec<(&'static str, f64)>) -> Outcome {
+    Outcome {
+        attempted: 1,
+        failed_ops: 0,
+        gates: Gates::default(),
+        metrics,
+        details: Value::object(),
+        provenance: Value::object(),
+    }
+}
+
+#[test]
+fn an_untraced_result_holds_every_end_to_end_metric() {
+    let all: Vec<(&str, f64)> = END_TO_END.iter().map(|&(n, _)| (n, 2.5)).collect();
+    let [_, line] = report::lines("fit_board", 1, false, &outcome(all.clone())).expect("renders");
+    let result = parse(&line).expect("result parses");
+    let metrics = result.get("metrics").expect("metrics");
+    for (name, unit) in END_TO_END {
+        let m = metrics
+            .get(name)
+            .expect("every end-to-end metric is printed");
+        assert_eq!(m.get("unit").and_then(Value::as_str), Some(unit));
+        assert_eq!(m.get("value").and_then(Value::as_f64), Some(2.5));
+    }
+
+    let missing = all[..all.len() - 1].to_vec();
+    assert!(report::lines("fit_board", 1, false, &outcome(missing)).is_err());
 }
