@@ -17,6 +17,9 @@
 //! budget, forcing many chunks and a real spill) and in memory on the
 //! materialized equivalent, and the held-out AUCPRC of the two models
 //! must agree within 0.005 — the sketch grid must not cost accuracy.
+//! A passing smoke run merges its own `oocore` section (marked
+//! `"smoke": true`) into `BENCH_train.json` in the working directory,
+//! so run it from a temp dir.
 
 use spe_bench::harness::{merge_bench_section, peak_rss_bytes};
 use spe_core::{chunk_rows_for_budget, ChunkedFitOptions, SelfPacedEnsembleConfig};
@@ -117,7 +120,10 @@ fn smoke() -> Result<(), Box<dyn std::error::Error>> {
         sketch_capacity: 32_768,
         ..ChunkedFitOptions::default()
     };
+    let t0 = Instant::now();
     let (ooc_model, report) = spe_cfg.try_fit_chunked(&mut stream, &opts, FIT_SEED)?;
+    let fit_seconds = t0.elapsed().as_secs_f64();
+    let peak_rss = peak_rss_bytes();
     assert!(
         report.chunks >= 4,
         "smoke budget must force a multi-chunk fit, got {} chunks",
@@ -141,7 +147,19 @@ fn smoke() -> Result<(), Box<dyn std::error::Error>> {
         eprintln!("FAIL: out-of-core AUCPRC drifted more than 0.005 from the in-memory fit");
         std::process::exit(1);
     }
-    eprintln!("smoke OK");
+    // Written only once the gate has passed, so the section's presence
+    // in the working directory's ledger is the gate's verdict.
+    let section = format!(
+        "{{\n    \"smoke\": true,\n    \"rows\": {},\n    \"features\": {features},\n    \"members\": {},\n    \"chunk_budget_bytes\": {budget_bytes},\n    \"chunk_rows\": {chunk_rows},\n    \"fit_seconds\": {fit_seconds:.2},\n    \"peak_rss_bytes\": {peak_rss},\n    \"rss_budget_ratio\": {:.3},\n    \"chunks\": {},\n    \"spill_bytes\": {},\n    \"aucprc\": {ooc_auc:.6},\n    \"in_memory_aucprc\": {mem_auc:.6},\n    \"aucprc_delta\": {delta:.6}\n  }}",
+        report.rows,
+        ooc_model.len(),
+        peak_rss as f64 / budget_bytes as f64,
+        report.chunks,
+        report.spill_bytes,
+    );
+    let out = std::path::Path::new("BENCH_train.json");
+    merge_bench_section(out, "oocore", &section)?;
+    eprintln!("smoke OK -> {} (oocore section)", out.display());
     Ok(())
 }
 

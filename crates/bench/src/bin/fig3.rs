@@ -52,10 +52,8 @@ fn main() {
         // over the full range (subset values are a subset of hardness).
         let mut pop = vec![0usize; k];
         let mut contrib = vec![0.0; k];
-        let (lo, hi) = bins.range();
-        let width = (hi - lo).max(1e-12);
         for &h in &sub {
-            let b = ((((h - lo) / width) * k as f64) as usize).min(k - 1);
+            let b = bins.bin_of(h);
             pop[b] += 1;
             contrib[b] += h;
         }

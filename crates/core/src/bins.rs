@@ -18,59 +18,124 @@ pub struct BinStats {
 }
 
 /// A hardness histogram over `k` equal-width bins.
-#[derive(Clone, Debug)]
+///
+/// Built row-parallel and bit-identically for every thread count: the
+/// range and each row's bin are pure per-row work (min/max is exact in
+/// any order), while bin populations and contributions are summed in
+/// row order. Members are counting-sorted into one flat buffer, so each
+/// bin's positions ascend. [`Self::recut`] rebuilds the histogram in
+/// place, reusing every buffer — the self-paced loops rebin the same
+/// majority set every round.
+#[derive(Clone, Debug, Default)]
 pub struct HardnessBins {
     /// Bin index of each input sample.
     assignment: Vec<usize>,
+    /// Sample positions grouped by bin, ascending within each bin.
+    order: Vec<usize>,
+    /// Bin `b` holds `order[offsets[b]..offsets[b + 1]]`.
+    offsets: Vec<usize>,
     stats: Vec<BinStats>,
     lo: f64,
     hi: f64,
 }
+
+/// Fewest rows one parallel binning task handles.
+const MIN_ROWS_PER_TASK: usize = 4096;
 
 impl HardnessBins {
     /// Bins `hardness` values into `k` equal-width bins over their
     /// observed range.
     ///
     /// # Panics
-    /// Panics if `k == 0` or `hardness` is empty.
+    /// Panics if `k == 0`, `hardness` is empty or holds a non-finite
+    /// value.
     pub fn cut(hardness: &[f64], k: usize) -> Self {
+        let mut bins = Self::default();
+        bins.recut(hardness, k);
+        bins
+    }
+
+    /// Rebuilds these bins over `hardness` in place, exactly as
+    /// [`Self::cut`] would, reusing the buffers of the previous cut.
+    ///
+    /// # Panics
+    /// Same conditions as [`Self::cut`].
+    pub(crate) fn recut(&mut self, hardness: &[f64], k: usize) {
         assert!(k > 0, "need at least one bin");
         assert!(!hardness.is_empty(), "cannot bin an empty set");
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for &h in hardness {
-            assert!(h.is_finite(), "hardness must be finite, got {h}");
-            lo = lo.min(h);
-            hi = hi.max(h);
-        }
-        let width = (hi - lo).max(1e-12);
-        let mut stats = vec![
-            BinStats {
-                population: 0,
-                mean_hardness: 0.0,
-                contribution: 0.0,
-            };
-            k
-        ];
-        let mut assignment = Vec::with_capacity(hardness.len());
-        for &h in hardness {
-            let b = (((h - lo) / width) * k as f64) as usize;
-            let b = b.min(k - 1);
-            assignment.push(b);
-            stats[b].population += 1;
-            stats[b].contribution += h;
-        }
-        for s in &mut stats {
-            if s.population > 0 {
-                s.mean_hardness = s.contribution / s.population as f64;
+        let n = hardness.len();
+        // The range, row-parallel: min/max give the same answer in any
+        // association order.
+        let (lo, hi) = spe_runtime::par_chunks(n, MIN_ROWS_PER_TASK, |range| {
+            let mut lo = f64::INFINITY;
+            let mut hi = f64::NEG_INFINITY;
+            let mut finite = true;
+            for &h in &hardness[range] {
+                finite &= h.is_finite();
+                lo = if h < lo { h } else { lo };
+                hi = if h > hi { h } else { hi };
             }
+            (lo, hi, finite)
+        })
+        .into_iter()
+        .fold(
+            (f64::INFINITY, f64::NEG_INFINITY),
+            |(lo, hi), (l, h, finite)| {
+                assert!(finite, "hardness must be finite");
+                (lo.min(l), hi.max(h))
+            },
+        );
+        self.lo = lo;
+        self.hi = hi;
+
+        // Each row's bin, row-parallel, with per-chunk populations
+        // (integer counts: their sum is the same however rows are
+        // chunked).
+        self.assignment.resize(n, 0);
+        let width = (hi - lo).max(1e-12);
+        let counts =
+            spe_runtime::par_chunks_mut(&mut self.assignment, MIN_ROWS_PER_TASK, |start, chunk| {
+                let mut counts = vec![0usize; k];
+                for (slot, &h) in chunk.iter_mut().zip(&hardness[start..]) {
+                    let b = bin_of(h, lo, width, k);
+                    *slot = b;
+                    counts[b] += 1;
+                }
+                counts
+            });
+
+        // Counting sort: bin offsets from the populations, then one
+        // row-order scatter keeps each bin's positions ascending.
+        self.offsets.clear();
+        self.offsets.push(0);
+        let mut total = 0;
+        for b in 0..k {
+            total += counts.iter().map(|c| c[b]).sum::<usize>();
+            self.offsets.push(total);
         }
-        Self {
-            assignment,
-            stats,
-            lo,
-            hi,
+        self.order.resize(n, 0);
+        let mut cursor = self.offsets[..k].to_vec();
+        for (i, &b) in self.assignment.iter().enumerate() {
+            self.order[cursor[b]] = i;
+            cursor[b] += 1;
         }
+
+        // Each bin's contribution sums its members in row order, bins
+        // in parallel.
+        let (order, offsets) = (&self.order, &self.offsets);
+        self.stats = spe_runtime::par_map_indexed(k, |b| {
+            let members = &order[offsets[b]..offsets[b + 1]];
+            let contribution: f64 = members.iter().fold(0.0, |acc, &i| acc + hardness[i]);
+            BinStats {
+                population: members.len(),
+                mean_hardness: if members.is_empty() {
+                    0.0
+                } else {
+                    contribution / members.len() as f64
+                },
+                contribution,
+            }
+        });
     }
 
     /// Number of bins.
@@ -88,19 +153,31 @@ impl HardnessBins {
         &self.assignment
     }
 
-    /// Sample positions (into the original hardness slice) per bin.
-    pub fn members(&self) -> Vec<Vec<usize>> {
-        let mut out = vec![Vec::new(); self.k()];
-        for (i, &b) in self.assignment.iter().enumerate() {
-            out[b].push(i);
-        }
-        out
+    /// Sample positions (into the binned hardness slice) of bin `b`,
+    /// ascending.
+    pub fn members(&self, b: usize) -> &[usize] {
+        &self.order[self.offsets[b]..self.offsets[b + 1]]
+    }
+
+    /// The bin a finite hardness value `h` falls in under these bins'
+    /// edges (values outside the observed range clamp to the end bins).
+    pub fn bin_of(&self, h: f64) -> usize {
+        bin_of(h, self.lo, (self.hi - self.lo).max(1e-12), self.k())
     }
 
     /// Observed hardness range the bins span.
     pub fn range(&self) -> (f64, f64) {
         (self.lo, self.hi)
     }
+}
+
+/// Equal-width bin of `h` over `[lo, lo + width]`, clamped to `0..k`.
+/// Clamping before the integer cast (`floor(min(q, k − 1))` is
+/// `min(floor(q), k − 1)`) keeps the cast off the saturating slow path.
+#[inline]
+fn bin_of(h: f64, lo: f64, width: f64, k: usize) -> usize {
+    let k = k as f64;
+    (((h - lo) / width) * k).min(k - 1.0) as usize
 }
 
 #[cfg(test)]
@@ -166,14 +243,32 @@ mod tests {
     fn members_are_consistent_with_assignment() {
         let h = [0.0, 0.5, 1.0, 0.51];
         let bins = HardnessBins::cut(&h, 2);
-        let members = bins.members();
-        for (b, m) in members.iter().enumerate() {
-            for &i in m {
+        for b in 0..2 {
+            for &i in bins.members(b) {
                 assert_eq!(bins.assignment()[i], b);
             }
         }
-        let total: usize = members.iter().map(Vec::len).sum();
-        assert_eq!(total, 4);
+        assert_eq!(bins.members(0), &[0]);
+        assert_eq!(bins.members(1), &[1, 2, 3]);
+    }
+
+    #[test]
+    fn recut_in_place_matches_a_fresh_cut_at_any_thread_count() {
+        let h: Vec<f64> = (0..20_000)
+            .map(|i| ((i * 7919) % 1000) as f64 / 999.0)
+            .collect();
+        let fresh = spe_runtime::Runtime::with_threads(1).install(|| HardnessBins::cut(&h, 13));
+        let mut reused = HardnessBins::cut(&[0.3, 0.1, 0.2], 4);
+        for threads in [2, 4] {
+            spe_runtime::Runtime::with_threads(threads).install(|| reused.recut(&h, 13));
+            assert_eq!(reused.stats(), fresh.stats(), "{threads} threads");
+            assert_eq!(reused.assignment(), fresh.assignment());
+            assert_eq!(reused.range(), fresh.range());
+            for b in 0..13 {
+                assert_eq!(reused.members(b), fresh.members(b));
+            }
+        }
+        assert_eq!(fresh.bin_of(h[5]), fresh.assignment()[5]);
     }
 
     #[test]

@@ -1,19 +1,20 @@
 //! `SelfPacedEnsemble` — Algorithm 1 of the paper.
 
 use crate::hardness::HardnessFn;
-use crate::report::{FitReport, MemberOutcome};
-use crate::sampler::{AlphaSchedule, SelfPacedSampler};
+use crate::report::FitReport;
+use crate::round::Rounds;
+use crate::sampler::AlphaSchedule;
 use spe_data::{
     BinIndex, Dataset, Matrix, MatrixView, SanitizePolicy, Sanitizer, SeededRng, SpeError,
 };
+use spe_learners::binscore::CodeScorer;
 use spe_learners::ensemble::SoftVoteEnsemble;
 use spe_learners::persist::ModelSnapshot;
 use spe_learners::traits::{
     validate_fit_inputs, BinnedLearner, BinnedProblem, FeatureBound, Learner, Model, SharedLearner,
 };
 use spe_learners::DecisionTreeConfig;
-use spe_runtime::{fork_seed, panic_message, Runtime, TrainingBudget};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use spe_runtime::{Runtime, TrainingBudget};
 use std::sync::Arc;
 
 /// Configuration for a Self-paced Ensemble.
@@ -122,7 +123,8 @@ impl SelfPacedEnsembleConfig {
     /// errors (invalid config, single-class data); the panic message is
     /// the error's `Display` output.
     pub fn fit_dataset(&self, data: &Dataset, seed: u64) -> SelfPacedEnsemble {
-        self.fit_dataset_traced(data, seed).0
+        self.try_fit_dataset(data, seed)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Like [`Self::fit_dataset`] but panicking-free: returns
@@ -132,7 +134,7 @@ impl SelfPacedEnsembleConfig {
         data: &Dataset,
         seed: u64,
     ) -> Result<SelfPacedEnsemble, SpeError> {
-        Ok(self.try_fit_dataset_traced(data, seed)?.0)
+        self.try_fit_inner(data, seed, None, None)
     }
 
     /// Warm-started refit: like [`Self::try_fit_dataset`], but the
@@ -177,13 +179,14 @@ impl SelfPacedEnsembleConfig {
                     .into(),
             ));
         }
-        Ok(self.try_fit_traced_inner(data, seed, Some(live_proba))?.0)
+        self.try_fit_inner(data, seed, Some(live_proba), None)
     }
 
     /// Like [`Self::fit_dataset`], additionally returning the
     /// per-iteration under-sampling trace (which majority rows each
     /// member trained on, and their hardness) — used by the Fig. 3 and
-    /// Fig. 6 experiments.
+    /// Fig. 6 experiments. Only the `*_traced` entry points record a
+    /// trace; the others never pay for the copies.
     ///
     /// # Panics
     /// Same conditions as [`Self::fit_dataset`].
@@ -201,19 +204,23 @@ impl SelfPacedEnsembleConfig {
         data: &Dataset,
         seed: u64,
     ) -> Result<(SelfPacedEnsemble, FitTrace), SpeError> {
-        self.try_fit_traced_inner(data, seed, None)
+        let mut trace = FitTrace::default();
+        let model = self.try_fit_inner(data, seed, None, Some(&mut trace))?;
+        Ok((model, trace))
     }
 
     /// Shared validated entry for cold and warm fits. `warm`, when
     /// present, holds the live model's probabilities per `data` row and
     /// drives the first member's self-paced selection; `None` is the
-    /// cold path, bit-identical to the original algorithm.
-    fn try_fit_traced_inner(
+    /// cold path, bit-identical to the original algorithm. `trace`,
+    /// when present, receives the per-iteration record.
+    fn try_fit_inner(
         &self,
         data: &Dataset,
         seed: u64,
         warm: Option<&[f64]>,
-    ) -> Result<(SelfPacedEnsemble, FitTrace), SpeError> {
+        trace: Option<&mut FitTrace>,
+    ) -> Result<SelfPacedEnsemble, SpeError> {
         if self.n_estimators == 0 {
             return Err(SpeError::InvalidConfig(
                 "need at least one estimator".into(),
@@ -246,7 +253,7 @@ impl SelfPacedEnsembleConfig {
 
         self.runtime.install(|| {
             self.budget
-                .install(|| self.fit_validated(&clean, seed, sanitize_report, warm))
+                .install(|| self.fit_validated(&clean, seed, sanitize_report, warm, trace))
         })
     }
 
@@ -261,204 +268,93 @@ impl SelfPacedEnsembleConfig {
         seed: u64,
         sanitize_report: spe_data::SanitizeReport,
         warm: Option<&[f64]>,
-    ) -> Result<(SelfPacedEnsemble, FitTrace), SpeError> {
+        mut trace: Option<&mut FitTrace>,
+    ) -> Result<SelfPacedEnsemble, SpeError> {
         let mut rng = SeededRng::new(seed);
 
         let idx = data.class_index();
         let n_pos = idx.minority.len();
         let n_neg = idx.majority.len();
 
-        // Materialize the class subsets once; every iteration only varies
-        // the majority selection.
-        let minority_x = data.x().select_rows(&idx.minority);
-        let majority_x = data.x().select_rows(&idx.majority);
-        let majority_y = vec![0u8; n_neg];
+        // Warm start: the live model's probability of every majority
+        // row, which drives member 0's draw in place of random
+        // under-sampling.
+        let warm_proba: Option<Vec<f64>> =
+            warm.map(|p| idx.majority.iter().map(|&r| p[r]).collect());
 
-        // Warm start: hardness of the majority rows under the *live*
-        // model, used in place of random under-sampling for member 0.
-        let warm_hardness = warm.map(|p| {
-            let live_proba: Vec<f64> = idx.majority.iter().map(|&r| p[r]).collect();
-            self.hardness.eval_batch(&live_proba, &majority_y)
-        });
-
-        let n = self.n_estimators;
-        let sampler = SelfPacedSampler {
-            k_bins: self.k_bins,
-        };
         // Histogram fast path: when the base learner can train on a
         // shared bin index and the per-member training sets are large
         // enough to amortize quantization, bin the full (cleaned)
         // matrix once — every member then trains on row ids of this
-        // index instead of a freshly materialized P ∪ N' sub-matrix.
-        let bins = self.base.as_binned().and_then(|bl| {
+        // index, and every majority row is rescored straight from its
+        // codes. Otherwise (no bin support, or too few rows to amortize
+        // binning) members train on and rescore dense copies of the two
+        // classes.
+        let store = match self.base.as_binned().and_then(|bl| {
             let req = bl.bin_request()?;
-            (n_pos + n_pos.min(n_neg) >= req.min_rows)
-                .then(|| BinIndex::build(data.x(), req.max_bins))
-        });
-        // Retry seeds come from an independent chain off the fit seed, so
-        // a retry never perturbs the parent RNG stream (which stays
-        // aligned with the healthy path for all later members).
-        let retry_root = fork_seed(seed, 0xFA01);
-
-        let mut models: Vec<Box<dyn Model>> = Vec::with_capacity(n);
-        let mut alphas: Vec<f64> = Vec::with_capacity(n);
-        let mut outcomes: Vec<MemberOutcome> = Vec::with_capacity(n);
-        let mut trace = FitTrace {
-            majority_rows: idx.majority.clone(),
-            selections: Vec::with_capacity(n),
-            hardness: Vec::new(),
+            (n_pos + n_pos.min(n_neg) >= req.min_rows).then_some((bl, req.max_bins))
+        }) {
+            Some((learner, max_bins)) => RowStore::Binned {
+                learner,
+                bins: BinIndex::build(data.x(), max_bins),
+                majority_ids: idx.majority.iter().map(|&r| r as u32).collect(),
+            },
+            None => RowStore::Dense {
+                minority_x: data.x().select_rows(&idx.minority),
+                majority_x: data.x().select_rows(&idx.majority),
+            },
         };
-        // Running average of majority probabilities avoids re-scoring all
-        // previous members each iteration: after i members,
-        // F_i(x) = mean of member outputs.
-        let mut proba_sum = vec![0.0_f64; n_neg];
 
-        for i in 0..n {
-            // Budget check between members: once tripped, remaining
-            // slots are skipped — except the very first member, which is
-            // always attempted so `min_members = 1` can still succeed.
-            if !models.is_empty() && spe_runtime::budget_exceeded() {
-                outcomes.push(MemberOutcome::Skipped);
+        if let Some(t) = trace.as_deref_mut() {
+            t.majority_rows = idx.majority.clone();
+        }
+        let mut rounds = Rounds::new(self, seed, n_pos, n_neg);
+        for i in 0..self.n_estimators {
+            if rounds.skip_for_budget() {
                 continue;
             }
-
-            // Select the majority subset N' for this member.
-            let (selected, alpha, hardness) = if models.is_empty() {
-                if let Some(h) = warm_hardness.as_ref().filter(|_| i == 0) {
-                    // Warm refit: the first member already samples
-                    // self-paced at α₀ from incumbent-model hardness;
-                    // schedules with no α at iteration 0 fall back to
-                    // the cold random draw.
-                    match self.alpha_schedule.alpha(0, n) {
-                        Some(alpha) => {
-                            let outcome = sampler.sample(h, alpha, n_pos, &mut rng);
-                            (outcome.selected, alpha, Some(h.clone()))
-                        }
-                        None => (
-                            rng.sample_indices(n_neg, n_pos.min(n_neg)),
-                            f64::NAN,
-                            Some(h.clone()),
-                        ),
-                    }
-                } else {
-                    // f0: random under-sampling (Algorithm 1, line 2).
-                    (rng.sample_indices(n_neg, n_pos.min(n_neg)), 0.0, None)
-                }
-            } else {
-                // Hardness w.r.t. the current ensemble F_i (lines 4–5).
-                let inv = 1.0 / models.len() as f64;
-                let ensemble_proba: Vec<f64> = proba_sum.iter().map(|&s| s * inv).collect();
-                let hardness = self.hardness.eval_batch(&ensemble_proba, &majority_y);
-
-                // Self-paced under-sampling (lines 6–9), or the ablated
-                // variants of AlphaSchedule.
-                match self.alpha_schedule.alpha(i, n) {
-                    Some(alpha) => {
-                        let outcome = sampler.sample(&hardness, alpha, n_pos, &mut rng);
-                        (outcome.selected, alpha, Some(hardness))
-                    }
-                    None => (
-                        rng.sample_indices(n_neg, n_pos.min(n_neg)),
-                        f64::NAN,
-                        Some(hardness),
-                    ),
-                }
-            };
-
-            // Train fi on P ∪ N' (line 10), isolated: a panicking or
-            // NaN-emitting attempt is retried with a fresh seed up to
-            // `max_member_retries` times, then the slot is dropped.
-            let member_rng = rng.fork(i as u64);
-            let mut last_err = SpeError::Panicked {
-                context: format!("member {i}"),
-                message: "never attempted".into(),
-            };
-            let mut trained: Option<(Box<dyn Model>, Vec<f64>)> = None;
-            let mut attempts = 0usize;
-            for attempt in 0..=self.max_member_retries {
-                let attempt_rng = if attempt == 0 {
-                    member_rng.clone()
-                } else {
-                    SeededRng::new(fork_seed(fork_seed(retry_root, i as u64), attempt as u64))
-                };
-                attempts = attempt + 1;
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    let model = match (&bins, self.base.as_binned()) {
-                        (Some(b), Some(bl)) => self.train_member_binned(
-                            bl,
-                            b,
+            let selection = rounds.select(i, &mut rng, warm_proba.as_deref(), trace.is_some());
+            let selected = &selection.selected;
+            let trained = rounds.fit(i, rng.fork(i as u64), selection.alpha, |rng, scores| {
+                Ok(match &store {
+                    RowStore::Binned {
+                        learner,
+                        bins,
+                        majority_ids,
+                    } => {
+                        let model = self.train_member_binned(
+                            *learner,
+                            bins,
                             data.y(),
                             &idx.minority,
-                            &idx.majority,
-                            &selected,
-                            attempt_rng,
-                        ),
-                        _ => self.train_member(&minority_x, &majority_x, &selected, attempt_rng),
-                    };
-                    let probs = model.predict_proba(&majority_x);
-                    (model, probs)
-                }));
-                match result {
-                    Ok((model, probs)) => {
-                        if probs.iter().all(|p| p.is_finite()) {
-                            trained = Some((model, probs));
-                            break;
-                        }
-                        last_err = SpeError::NonFiniteOutput {
-                            context: format!("member {i}"),
-                        };
+                            majority_ids,
+                            selected,
+                            rng,
+                        );
+                        CodeScorer::compile(model.as_ref(), bins.cut_grids())?.score_rows(
+                            bins.codes(),
+                            bins.n_rows(),
+                            majority_ids,
+                            scores,
+                        );
+                        model
                     }
-                    Err(payload) => {
-                        last_err = SpeError::Panicked {
-                            context: format!("member {i}"),
-                            message: panic_message(payload.as_ref()),
-                        };
+                    RowStore::Dense {
+                        minority_x,
+                        majority_x,
+                    } => {
+                        let model = self.train_member(minority_x, majority_x, selected, rng);
+                        model.predict_proba_into(majority_x.view(), scores);
+                        model
                     }
-                }
-            }
-
-            match trained {
-                Some((model, probs)) => {
-                    for (s, p) in proba_sum.iter_mut().zip(probs) {
-                        *s += p;
-                    }
-                    models.push(model);
-                    alphas.push(alpha);
-                    trace.selections.push(selected);
-                    if let Some(h) = hardness {
-                        trace.hardness.push(h);
-                    }
-                    outcomes.push(if attempts == 1 {
-                        MemberOutcome::Trained
-                    } else {
-                        MemberOutcome::Retried { attempts }
-                    });
-                }
-                None => outcomes.push(MemberOutcome::Dropped { error: last_err }),
+                })
+            })?;
+            if let (true, Some(t)) = (trained, trace.as_deref_mut()) {
+                t.selections.push(selection.selected);
+                t.hardness.extend(selection.hardness);
             }
         }
-
-        let required = self.min_members.max(1);
-        if models.len() < required {
-            return Err(SpeError::TrainingFailed {
-                trained: models.len(),
-                required,
-            });
-        }
-
-        let report = FitReport {
-            members: outcomes,
-            sanitize: sanitize_report,
-            budget_exhausted: spe_runtime::budget_exceeded(),
-        };
-        Ok((
-            SelfPacedEnsemble {
-                inner: SoftVoteEnsemble::try_new(models)?,
-                alphas,
-                report,
-            },
-            trace,
-        ))
+        rounds.finish(sanitize_report)
     }
 
     fn train_member(
@@ -492,7 +388,7 @@ impl SelfPacedEnsembleConfig {
         bins: &BinIndex,
         y: &[u8],
         minority_rows: &[usize],
-        majority_rows: &[usize],
+        majority_ids: &[u32],
         majority_sel: &[usize],
         mut rng: SeededRng,
     ) -> Box<dyn Model> {
@@ -503,9 +399,26 @@ impl SelfPacedEnsembleConfig {
         };
         let mut rows: Vec<u32> = Vec::with_capacity(minority_rows.len() + majority_sel.len());
         rows.extend(minority_rows.iter().map(|&r| r as u32));
-        rows.extend(majority_sel.iter().map(|&s| majority_rows[s] as u32));
+        rows.extend(majority_sel.iter().map(|&s| majority_ids[s]));
         learner.fit_on_bins(&problem, &rows, rng.below(u32::MAX as usize) as u64)
     }
+}
+
+/// Where the in-memory loop's members train and rescore from.
+enum RowStore<'a> {
+    /// The shared bin index; majority rows are scored in code space.
+    Binned {
+        learner: &'a dyn BinnedLearner,
+        bins: BinIndex,
+        /// Row id in `bins` of every majority position.
+        majority_ids: Vec<u32>,
+    },
+    /// Dense copies of the two classes, for learners without bin
+    /// support; majority rows are scored in `f64`.
+    Dense {
+        minority_x: Matrix,
+        majority_x: Matrix,
+    },
 }
 
 /// Per-iteration under-sampling record of one SPE training run.
@@ -517,8 +430,11 @@ pub struct FitTrace {
     /// Majority positions selected at each iteration (index 0 = random
     /// first member).
     pub selections: Vec<Vec<usize>>,
-    /// Hardness of every majority sample at each self-paced iteration
-    /// (iterations 1..n; the random first member has no hardness).
+    /// Hardness of every majority sample for each trained member whose
+    /// draw was computed from hardness: every member after the first
+    /// trained one (under any α schedule, uniform included), plus
+    /// member 0 of a warm-started fit. A cold fit's random first member
+    /// has none, so a clean cold fit records `n − 1` vectors.
     pub hardness: Vec<Vec<f64>>,
 }
 
@@ -530,9 +446,8 @@ pub struct SelfPacedEnsemble {
 }
 
 impl SelfPacedEnsemble {
-    /// Assembles an ensemble from already-trained members — the
-    /// out-of-core fit ([`crate::oocore`]) runs its own training loop
-    /// outside `fit_validated`.
+    /// Assembles an ensemble from already-trained members — the end of
+    /// every binary self-paced loop.
     pub(crate) fn from_members(
         models: Vec<Box<dyn Model>>,
         alphas: Vec<f64>,
@@ -674,6 +589,7 @@ impl Learner for SelfPacedEnsembleConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::MemberOutcome;
     use spe_data::{NEGATIVE, POSITIVE};
     use spe_metrics::aucprc;
 
@@ -1127,6 +1043,75 @@ mod tests {
         // Uniform has no α at iteration 0 either, so the warm first
         // member records NaN like every other uniform member.
         assert!(m.alphas()[0].is_nan());
+    }
+
+    #[test]
+    fn traced_uniform_fit_records_hardness_untraced_skips_it() {
+        let d = overlapping(20, 300, 70);
+        let cfg = SelfPacedEnsembleConfig {
+            alpha_schedule: AlphaSchedule::Uniform,
+            ..SelfPacedEnsembleConfig::new(5)
+        };
+        let (traced, trace) = cfg.try_fit_dataset_traced(&d, 71).unwrap();
+        assert_eq!(trace.selections.len(), 5);
+        assert_eq!(trace.hardness.len(), 4);
+        assert!(trace.hardness.iter().all(|h| h.len() == 300));
+        let plain = cfg.try_fit_dataset(&d, 71).unwrap();
+        assert_eq!(traced.predict_proba(d.x()), plain.predict_proba(d.x()));
+    }
+
+    /// A histogram tree whose models hide their snapshot, so they can
+    /// train on bins but not be compiled to bin space.
+    struct OpaqueBinned(DecisionTreeConfig);
+    struct Opaque(Box<dyn Model>);
+    impl Model for Opaque {
+        fn predict_proba_view(&self, x: MatrixView<'_>) -> Vec<f64> {
+            self.0.predict_proba_view(x)
+        }
+    }
+    impl Learner for OpaqueBinned {
+        fn fit_weighted(
+            &self,
+            x: &Matrix,
+            y: &[u8],
+            weights: Option<&[f64]>,
+            seed: u64,
+        ) -> Box<dyn Model> {
+            Box::new(Opaque(self.0.fit_weighted(x, y, weights, seed)))
+        }
+        fn name(&self) -> &'static str {
+            "OpaqueBinned"
+        }
+        fn as_binned(&self) -> Option<&dyn BinnedLearner> {
+            Some(self)
+        }
+    }
+    impl BinnedLearner for OpaqueBinned {
+        fn bin_request(&self) -> Option<spe_learners::traits::BinRequest> {
+            self.0.bin_request()
+        }
+        fn fit_on_bins(
+            &self,
+            problem: &BinnedProblem<'_>,
+            rows: &[u32],
+            seed: u64,
+        ) -> Box<dyn Model> {
+            Box::new(Opaque(self.0.fit_on_bins(problem, rows, seed)))
+        }
+    }
+
+    #[test]
+    fn member_that_cannot_bin_compile_is_a_typed_error() {
+        let d = overlapping(20, 300, 72);
+        let base = OpaqueBinned(DecisionTreeConfig {
+            split_method: spe_learners::SplitMethod::Histogram,
+            ..DecisionTreeConfig::default()
+        });
+        let cfg = SelfPacedEnsembleConfig::with_base(3, Arc::new(base));
+        assert!(matches!(
+            cfg.try_fit_dataset(&d, 73),
+            Err(SpeError::InvalidConfig(_))
+        ));
     }
 
     #[test]

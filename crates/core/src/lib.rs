@@ -30,6 +30,7 @@ pub mod hardness;
 pub mod multiclass;
 pub mod oocore;
 pub mod report;
+mod round;
 pub mod sampler;
 
 pub use bins::{BinStats, HardnessBins};

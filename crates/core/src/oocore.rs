@@ -12,22 +12,23 @@
 //!                    column-major) ──> on-disk spill blocks
 //! ```
 //!
-//! Training then runs the usual self-paced loop against the code store:
-//! each member's training sub-index is stitched from the precomputed
-//! minority codes plus the selected majority codes gathered from the
-//! spill ([`BinIndex::from_parts`] + the `BinnedLearner` row-subset
-//! hook), and the freshly trained member is recompiled into bin space
-//! ([`CodeScorer`]) to score every majority row block by block into an
-//! `f64` running-sum sidecar — the hardness input of the next round.
+//! Training then runs the self-paced round shared with the in-memory
+//! fit against the code store: each member's training sub-index is
+//! stitched from the precomputed minority codes plus the selected
+//! majority codes gathered from the spill ([`BinIndex::from_parts`] +
+//! the `BinnedLearner` row-subset hook), and the freshly trained member
+//! is recompiled into bin space ([`CodeScorer`]) to score every
+//! majority row block by block, row-parallel, into an `f64` running-sum
+//! sidecar — the hardness input of the next round.
 //!
 //! Memory accounting (per row of width `d`): the streaming working set
 //! is ≈ `17 d` bytes (chunk `f64`s, the majority copy, its codes), the
-//! resident sidecars are 16 B per majority row (probability sum +
-//! hardness) plus the dense minority block. Chunk budgets should leave
+//! resident sidecars are 16 B per majority row (probability sum, plus
+//! a scratch row holding the round's hardness, then the new member's
+//! scores) plus the dense minority block. Chunk budgets should leave
 //! roughly half the budget for the sidecars; see `bench_oocore`.
 
-use crate::report::{FitReport, MemberOutcome};
-use crate::sampler::SelfPacedSampler;
+use crate::round::{Rounds, Selection};
 use crate::SelfPacedEnsemble;
 use crate::SelfPacedEnsembleConfig;
 use spe_data::sketch::DEFAULT_SKETCH_CAPACITY;
@@ -36,11 +37,9 @@ use spe_data::{
     SpeError, POSITIVE,
 };
 use spe_learners::binscore::CodeScorer;
-use spe_learners::traits::{BinnedProblem, Model};
-use spe_runtime::{fork_seed, panic_message};
+use spe_learners::traits::BinnedProblem;
 use std::fs::{self, File};
 use std::io::{BufReader, BufWriter, Read as _, Write as _};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
 /// Options of an out-of-core fit (the SPE hyper-parameters live on
@@ -297,43 +296,17 @@ impl SelfPacedEnsembleConfig {
 
         // ---- Training rounds (Algorithm 1 over the code store) ------
         let learner = self.base.as_binned().expect("checked in try_fit_chunked");
-        let n = self.n_estimators;
-        let sampler = SelfPacedSampler {
-            k_bins: self.k_bins,
-        };
         let mut rng = spe_data::SeededRng::new(seed);
-        let retry_root = fork_seed(seed, 0xFA01);
-
-        let mut models: Vec<Box<dyn Model>> = Vec::with_capacity(n);
-        let mut alphas: Vec<f64> = Vec::with_capacity(n);
-        let mut outcomes: Vec<MemberOutcome> = Vec::with_capacity(n);
-        let mut proba_sum = vec![0.0f64; n_neg];
-        let mut hardness_buf = vec![0.0f64; n_neg];
-        let mut score_buf: Vec<f64> = Vec::new();
-
-        for i in 0..n {
-            if !models.is_empty() && spe_runtime::budget_exceeded() {
-                outcomes.push(MemberOutcome::Skipped);
+        let mut rounds = Rounds::new(self, seed, n_pos, n_neg);
+        for i in 0..self.n_estimators {
+            if rounds.skip_for_budget() {
                 continue;
             }
-
-            let (mut selected, alpha) = if models.is_empty() {
-                (rng.sample_indices(n_neg, n_pos.min(n_neg)), 0.0)
-            } else {
-                let inv = 1.0 / models.len() as f64;
-                for (h, &s) in hardness_buf.iter_mut().zip(&proba_sum) {
-                    *h = self.hardness.eval(s * inv, 0);
-                }
-                match self.alpha_schedule.alpha(i, n) {
-                    Some(alpha) => (
-                        sampler
-                            .sample(&hardness_buf, alpha, n_pos, &mut rng)
-                            .selected,
-                        alpha,
-                    ),
-                    None => (rng.sample_indices(n_neg, n_pos.min(n_neg)), f64::NAN),
-                }
-            };
+            let Selection {
+                mut selected,
+                alpha,
+                ..
+            } = rounds.select(i, &mut rng, None, false);
             // Row order does not influence histogram training, and a
             // sorted selection turns the spill gather into one
             // sequential scan.
@@ -350,100 +323,35 @@ impl SelfPacedEnsembleConfig {
             let mut member_y = vec![POSITIVE; n_pos];
             member_y.resize(m, 0);
             let member_rows: Vec<u32> = (0..m as u32).collect();
-
-            // Fit with the same retry contract as the in-memory path;
-            // scoring happens after a successful fit (compiled tree
-            // traversal cannot panic or emit non-finite values, so it
-            // never needs the retry loop).
-            let member_rng = rng.fork(i as u64);
-            let mut last_err = SpeError::Panicked {
-                context: format!("member {i}"),
-                message: "never attempted".into(),
+            let problem = BinnedProblem {
+                bins: &member_bins,
+                y: &member_y,
+                weights: None,
             };
-            let mut trained: Option<Box<dyn Model>> = None;
-            let mut attempts = 0usize;
-            for attempt in 0..=self.max_member_retries {
-                let mut attempt_rng = if attempt == 0 {
-                    member_rng.clone()
-                } else {
-                    spe_data::SeededRng::new(fork_seed(
-                        fork_seed(retry_root, i as u64),
-                        attempt as u64,
-                    ))
-                };
-                attempts = attempt + 1;
-                let problem = BinnedProblem {
-                    bins: &member_bins,
-                    y: &member_y,
-                    weights: None,
-                };
-                let fit_seed = attempt_rng.below(u32::MAX as usize) as u64;
-                match catch_unwind(AssertUnwindSafe(|| {
-                    learner.fit_on_bins(&problem, &member_rows, fit_seed)
-                })) {
-                    Ok(model) => {
-                        trained = Some(model);
-                        break;
-                    }
-                    Err(payload) => {
-                        last_err = SpeError::Panicked {
-                            context: format!("member {i}"),
-                            message: panic_message(payload.as_ref()),
-                        };
-                    }
-                }
-            }
 
-            match trained {
-                Some(model) => {
-                    let scorer = CodeScorer::compile(model.as_ref(), &cuts)?;
-                    spill.for_each_block(|start, block_rows, codes| {
-                        score_buf.resize(block_rows, 0.0);
-                        scorer.score_block(codes, block_rows, &mut score_buf);
-                        if !score_buf.iter().all(|p| p.is_finite()) {
-                            return Err(SpeError::NonFiniteOutput {
-                                context: format!("member {i}"),
-                            });
-                        }
-                        for (s, p) in proba_sum[start..start + block_rows]
-                            .iter_mut()
-                            .zip(&score_buf)
-                        {
-                            *s += p;
-                        }
-                        Ok(())
-                    })?;
-                    models.push(model);
-                    alphas.push(alpha);
-                    outcomes.push(if attempts == 1 {
-                        MemberOutcome::Trained
-                    } else {
-                        MemberOutcome::Retried { attempts }
-                    });
-                }
-                None => outcomes.push(MemberOutcome::Dropped { error: last_err }),
-            }
+            // Each attempt recompiles the fresh member into bin space
+            // and scores every spilled majority row, block by block.
+            rounds.fit(i, rng.fork(i as u64), alpha, |mut rng, scores| {
+                let model = learner.fit_on_bins(
+                    &problem,
+                    &member_rows,
+                    rng.below(u32::MAX as usize) as u64,
+                );
+                let scorer = CodeScorer::compile(model.as_ref(), &cuts)?;
+                spill.for_each_block(|start, block_rows, codes| {
+                    scorer.score_block(codes, block_rows, &mut scores[start..start + block_rows]);
+                    Ok(())
+                })?;
+                Ok(model)
+            })?;
         }
-
-        let required = self.min_members.max(1);
-        if models.len() < required {
-            return Err(SpeError::TrainingFailed {
-                trained: models.len(),
-                required,
-            });
-        }
+        let ensemble = rounds.finish(spe_data::SanitizeReport {
+            non_finite_cells: rows_dropped as usize,
+            dropped_rows: rows_dropped as usize,
+            ..Default::default()
+        })?;
 
         let spill_bytes = spill.bytes();
-        let report = FitReport {
-            members: outcomes,
-            sanitize: spe_data::SanitizeReport {
-                non_finite_cells: rows_dropped as usize,
-                dropped_rows: rows_dropped as usize,
-                ..Default::default()
-            },
-            budget_exhausted: spe_runtime::budget_exceeded(),
-        };
-        let ensemble = SelfPacedEnsemble::from_members(models, alphas, report)?;
         Ok((
             ensemble,
             OocReport {
@@ -572,6 +480,7 @@ mod tests {
     use super::*;
     use crate::AlphaSchedule;
     use spe_data::{Dataset, DatasetChunks, SeededRng};
+    use spe_learners::traits::Model;
     use spe_learners::tree::{DecisionTreeConfig, SplitMethod};
     use spe_learners::SharedLearner;
     use std::sync::Arc;

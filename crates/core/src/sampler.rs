@@ -162,6 +162,19 @@ impl SelfPacedSampler {
         target: usize,
         rng: &mut SeededRng,
     ) -> SampleOutcome {
+        self.sample_in(&mut HardnessBins::default(), hardness, alpha, target, rng)
+    }
+
+    /// [`Self::sample`] that rebins into `bins` in place, so a training
+    /// loop that samples every round reuses one histogram's buffers.
+    pub(crate) fn sample_in(
+        &self,
+        bins: &mut HardnessBins,
+        hardness: &[f64],
+        alpha: f64,
+        target: usize,
+        rng: &mut SeededRng,
+    ) -> SampleOutcome {
         assert!(alpha >= 0.0, "alpha must be non-negative");
         let n = hardness.len();
         if target >= n {
@@ -171,8 +184,8 @@ impl SelfPacedSampler {
                 weights: vec![1.0],
             };
         }
-        let bins = HardnessBins::cut(hardness, self.k_bins);
-        let members = bins.members();
+        bins.recut(hardness, self.k_bins);
+        let populations: Vec<usize> = bins.stats().iter().map(|s| s.population).collect();
         let weights: Vec<f64> = bins
             .stats()
             .iter()
@@ -184,13 +197,13 @@ impl SelfPacedSampler {
                 }
             })
             .collect();
-        let per_bin = allocate_quota(&weights, &members, target);
+        let per_bin = allocate_quota(&weights, &populations, target);
         let mut selected = Vec::with_capacity(target);
-        for (quota, member) in per_bin.iter().zip(&members) {
-            if *quota == 0 {
+        for (b, &quota) in per_bin.iter().enumerate() {
+            if quota == 0 {
                 continue;
             }
-            selected.extend(rng.sample_from(member, *quota));
+            selected.extend(rng.sample_from(bins.members(b), quota));
         }
         SampleOutcome {
             selected,
@@ -202,14 +215,14 @@ impl SelfPacedSampler {
 
 /// Splits `target` draws across bins proportionally to `weights`,
 /// clamping each bin to its population and redistributing the shortfall.
-fn allocate_quota(weights: &[f64], members: &[Vec<usize>], target: usize) -> Vec<usize> {
+fn allocate_quota(weights: &[f64], populations: &[usize], target: usize) -> Vec<usize> {
     let k = weights.len();
     let mut quota = vec![0usize; k];
     let mut remaining = target;
     // Iterate: proportional allocation over bins with spare capacity.
     // Terminates because each round either fills `remaining` or saturates
     // at least one bin.
-    let mut active: Vec<usize> = (0..k).filter(|&l| !members[l].is_empty()).collect();
+    let mut active: Vec<usize> = (0..k).filter(|&l| populations[l] > 0).collect();
     while remaining > 0 && !active.is_empty() {
         let w_total: f64 = active.iter().map(|&l| weights[l]).sum();
         if w_total <= 0.0 {
@@ -223,11 +236,11 @@ fn allocate_quota(weights: &[f64], members: &[Vec<usize>], target: usize) -> Vec
         let mut allocated = 0usize;
         let mut saturated = Vec::new();
         for &mut (l, share) in &mut shares {
-            let cap = members[l].len() - quota[l];
+            let cap = populations[l] - quota[l];
             let take = (share.floor() as usize).min(cap);
             quota[l] += take;
             allocated += take;
-            if quota[l] == members[l].len() {
+            if quota[l] == populations[l] {
                 saturated.push(l);
             }
         }
@@ -242,10 +255,10 @@ fn allocate_quota(weights: &[f64], members: &[Vec<usize>], target: usize) -> Vec
                 if allocated == remaining {
                     break;
                 }
-                if quota[l] < members[l].len() {
+                if quota[l] < populations[l] {
                     quota[l] += 1;
                     allocated += 1;
-                    if quota[l] == members[l].len() {
+                    if quota[l] == populations[l] {
                         saturated.push(l);
                     }
                 }
@@ -367,8 +380,7 @@ mod tests {
     #[test]
     fn quota_allocation_respects_capacity() {
         let weights = vec![1.0, 1.0, 1.0];
-        let members = vec![vec![0, 1], vec![2, 3, 4, 5, 6, 7], vec![8]];
-        let quota = allocate_quota(&weights, &members, 7);
+        let quota = allocate_quota(&weights, &[2, 6, 1], 7);
         assert!(quota[0] <= 2);
         assert!(quota[2] <= 1);
         assert_eq!(quota.iter().sum::<usize>(), 7);

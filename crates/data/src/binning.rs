@@ -142,6 +142,19 @@ impl BinIndex {
         &self.cuts[f]
     }
 
+    /// Every feature's cut points, the grid the codes were encoded
+    /// with (what bin-space scorers compile against).
+    #[inline]
+    pub fn cut_grids(&self) -> &[Vec<f64>] {
+        &self.cuts
+    }
+
+    /// The whole column-major code buffer: `codes()[f * n_rows + row]`.
+    #[inline]
+    pub fn codes(&self) -> &[u8] {
+        &self.codes
+    }
+
     /// The contiguous code column of feature `f` (one `u8` per row).
     #[inline]
     pub fn feature_codes(&self, f: usize) -> &[u8] {
@@ -406,6 +419,11 @@ mod tests {
         let idx = BinIndex::build(&x, 8);
         assert_eq!(idx.feature_codes(0), &[0, 1, 2]);
         assert_eq!(idx.feature_codes(1), &[0, 1, 2]);
+        assert_eq!(idx.codes(), &[0, 1, 2, 0, 1, 2]);
+        assert_eq!(
+            idx.cut_grids(),
+            &[idx.cuts(0).to_vec(), idx.cuts(1).to_vec()]
+        );
         assert_eq!(idx.n_features(), 2);
         assert_eq!(idx.total_bins(), 6);
         assert_eq!(idx.code_bytes(), 6);

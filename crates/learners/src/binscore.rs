@@ -1,12 +1,14 @@
 //! Scoring models directly on u8 bin codes.
 //!
-//! The out-of-core SPE fit stores every majority row as column-major
-//! bin codes (one byte per cell) and needs each new member's
-//! probabilities over *all* of them every round — but the `f64`
-//! features are gone by then. [`CodeScorer`] recompiles a trained
-//! model's [`ModelSnapshot`] into bin-space: every tree split
-//! `x[f] <= t` becomes `code[f] <= b` where `b` is the index of `t` in
-//! the shared cut grid.
+//! Both binary SPE training loops need each new member's probabilities
+//! over *every* majority row every round, and both already hold those
+//! rows as column-major bin codes (one byte per cell): the in-memory
+//! fit in its shared [`BinIndex`](spe_data::BinIndex), the out-of-core
+//! fit in its spill, where the `f64` features are gone.
+//! [`CodeScorer`] recompiles a trained model's [`ModelSnapshot`] into
+//! bin-space: every tree split `x[f] <= t` becomes `code[f] <= b` where
+//! `b` is the index of `t` in the shared cut grid. Scoring is
+//! row-parallel on the shared runtime.
 //!
 //! This is exact, not approximate: histogram-trained trees only ever
 //! split *at* cut values, and the grid invariant
@@ -25,10 +27,22 @@ use spe_data::SpeError;
 enum CodeMember {
     /// Constant probability.
     Constant(f64),
-    /// Flat tree over bin codes; `feature == u32::MAX` marks a leaf.
-    Tree(Vec<CodeNode>),
+    /// Flat tree over bin codes.
+    Tree(CodeTree),
     /// Soft-vote average of nested members.
     Vote(Vec<CodeMember>),
+}
+
+/// A tree in bin space, rooted at node 0. Leaves loop back to
+/// themselves (`code <= u8::MAX` always holds), so every row walks
+/// exactly `depth` steps with no exit test: a row that reaches its
+/// leaf early just stays there.
+struct CodeTree {
+    nodes: Vec<CodeNode>,
+    /// Leaf probability per node (unused on splits).
+    values: Vec<f64>,
+    /// Longest root-to-leaf path, in splits.
+    depth: usize,
 }
 
 /// A tree node in bin space: `code[feature] <= bin` goes left.
@@ -38,11 +52,7 @@ struct CodeNode {
     bin: u8,
     left: u32,
     right: u32,
-    /// Leaf probability (unused on splits).
-    value: f64,
 }
-
-const LEAF: u32 = u32::MAX;
 
 /// A model compiled to traverse column-major u8 bin codes.
 pub struct CodeScorer {
@@ -67,7 +77,9 @@ impl CodeScorer {
     }
 
     /// Scores `n_rows` rows stored as column-major codes
-    /// (`codes[f * n_rows + row]`) into `out`.
+    /// (`codes[f * n_rows + row]`) into `out`, row-parallel on the
+    /// shared runtime (each row's score depends only on its codes, so
+    /// the output is the same for every thread count).
     ///
     /// # Panics
     /// Panics if the buffers disagree with `n_rows` and the compiled
@@ -75,9 +87,39 @@ impl CodeScorer {
     pub fn score_block(&self, codes: &[u8], n_rows: usize, out: &mut [f64]) {
         assert_eq!(codes.len(), self.n_features * n_rows, "code block size");
         assert_eq!(out.len(), n_rows, "output buffer size");
-        score_member(&self.member, codes, n_rows, out);
+        spe_runtime::par_chunks_mut(out, MIN_ROWS_PER_TASK, |start, chunk| {
+            score_member(&self.member, codes, n_rows, |k| start + k, chunk);
+        });
+    }
+
+    /// Scores the rows named by `rows` — ids into a column-major code
+    /// buffer of `n_rows` rows, such as [`BinIndex::codes`] — into
+    /// `out` (`out[k]` is the score of row `rows[k]`), row-parallel
+    /// like [`Self::score_block`].
+    ///
+    /// [`BinIndex::codes`]: spe_data::BinIndex::codes
+    ///
+    /// # Panics
+    /// Panics if the buffers disagree with `n_rows` and the compiled
+    /// feature count, or a row id is not below `n_rows`.
+    pub fn score_rows(&self, codes: &[u8], n_rows: usize, rows: &[u32], out: &mut [f64]) {
+        assert_eq!(codes.len(), self.n_features * n_rows, "code buffer size");
+        assert_eq!(out.len(), rows.len(), "output buffer size");
+        spe_runtime::par_chunks_mut(out, MIN_ROWS_PER_TASK, |start, chunk| {
+            let ids = &rows[start..start + chunk.len()];
+            assert!(
+                ids.iter().all(|&r| (r as usize) < n_rows),
+                "row id out of range for {n_rows} rows"
+            );
+            score_member(&self.member, codes, n_rows, |k| ids[k] as usize, chunk);
+        });
     }
 }
+
+/// Fewest rows one parallel scoring task handles: a task costs about
+/// as much as traversing a few dozen rows, so smaller pieces would
+/// spend more on dispatch than they save.
+const MIN_ROWS_PER_TASK: usize = 1024;
 
 fn compile_member(snapshot: &ModelSnapshot, cuts: &[Vec<f64>]) -> Result<CodeMember, SpeError> {
     match snapshot {
@@ -102,17 +144,24 @@ fn compile_member(snapshot: &ModelSnapshot, cuts: &[Vec<f64>]) -> Result<CodeMem
     }
 }
 
-fn compile_tree(tree: &TreeModel, cuts: &[Vec<f64>]) -> Result<Vec<CodeNode>, SpeError> {
-    let mut nodes = Vec::with_capacity(tree.n_nodes());
-    for i in 0..tree.n_nodes() {
-        nodes.push(match tree.node(i) {
-            NodeView::Leaf { value } => CodeNode {
-                feature: LEAF,
-                bin: 0,
-                left: 0,
-                right: 0,
+fn compile_tree(tree: &TreeModel, cuts: &[Vec<f64>]) -> Result<CodeTree, SpeError> {
+    let n_nodes = tree.n_nodes();
+    if n_nodes == 0 {
+        return Err(SpeError::InvalidConfig("tree has no nodes".into()));
+    }
+    let mut nodes = Vec::with_capacity(n_nodes);
+    let mut values = Vec::with_capacity(n_nodes);
+    for i in 0..n_nodes {
+        let (node, value) = match tree.node(i) {
+            NodeView::Leaf { value } => (
+                CodeNode {
+                    feature: 0,
+                    bin: u8::MAX,
+                    left: i as u32,
+                    right: i as u32,
+                },
                 value,
-            },
+            ),
             NodeView::Split {
                 feature,
                 threshold,
@@ -135,52 +184,126 @@ fn compile_tree(tree: &TreeModel, cuts: &[Vec<f64>]) -> Result<Vec<CodeNode>, Sp
                          shared grid (model was not histogram-trained on it)"
                     )));
                 }
-                CodeNode {
-                    feature: feature as u32,
-                    bin: b as u8,
-                    left: left as u32,
-                    right: right as u32,
-                    value: 0.0,
+                if left >= n_nodes || right >= n_nodes {
+                    return Err(SpeError::InvalidConfig(format!(
+                        "tree node {i} points outside its {n_nodes} nodes"
+                    )));
                 }
+                (
+                    CodeNode {
+                        feature: feature as u32,
+                        bin: b as u8,
+                        left: left as u32,
+                        right: right as u32,
+                    },
+                    0.0,
+                )
             }
-        });
+        };
+        nodes.push(node);
+        values.push(value);
     }
-    Ok(nodes)
+    let depth = tree_depth(&nodes)?;
+    Ok(CodeTree {
+        nodes,
+        values,
+        depth,
+    })
 }
 
-fn score_member(member: &CodeMember, codes: &[u8], n_rows: usize, out: &mut [f64]) {
-    match member {
-        CodeMember::Constant(p) => out.fill(*p),
-        CodeMember::Tree(nodes) => {
-            for (r, slot) in out.iter_mut().enumerate() {
-                let mut i = 0usize;
-                loop {
-                    let node = nodes[i];
-                    if node.feature == LEAF {
-                        *slot = node.value;
-                        break;
-                    }
-                    let code = codes[node.feature as usize * n_rows + r];
-                    i = if code <= node.bin {
-                        node.left as usize
-                    } else {
-                        node.right as usize
-                    };
-                }
+/// Longest root-to-leaf path of a compiled tree; a path longer than
+/// the node count can only be a cycle, which is rejected.
+fn tree_depth(nodes: &[CodeNode]) -> Result<usize, SpeError> {
+    let mut depth = 0;
+    let mut stack = vec![(0usize, 0usize)];
+    while let Some((i, d)) = stack.pop() {
+        let n = nodes[i];
+        if n.left as usize == i {
+            depth = depth.max(d);
+            continue;
+        }
+        if d >= nodes.len() {
+            return Err(SpeError::InvalidConfig("tree has a cycle".into()));
+        }
+        stack.push((n.left as usize, d + 1));
+        stack.push((n.right as usize, d + 1));
+    }
+    Ok(depth)
+}
+
+/// Rows walked level by level as one block: the block's walks are
+/// independent, so they hide each other's code-load latency, and the
+/// branch-free step keeps mispredictions out of the loop.
+const BLOCK: usize = 64;
+
+/// Scores `out.len()` rows of `tree` into `out` (`row(k)` as in
+/// [`score_member`]).
+fn score_tree(
+    tree: &CodeTree,
+    codes: &[u8],
+    n_rows: usize,
+    row: impl Fn(usize) -> usize,
+    out: &mut [f64],
+) {
+    let nodes = &tree.nodes[..];
+    #[inline(always)]
+    fn step(nodes: &[CodeNode], codes: &[u8], n_rows: usize, r: usize, i: usize) -> usize {
+        let n = nodes[i];
+        let code = codes[n.feature as usize * n_rows + r];
+        (if code <= n.bin { n.left } else { n.right }) as usize
+    }
+    let mut blocks = out.chunks_exact_mut(BLOCK);
+    let mut k = 0;
+    for block in &mut blocks {
+        let rows: [usize; BLOCK] = std::array::from_fn(|l| row(k + l));
+        let mut at = [0u32; BLOCK];
+        for _ in 0..tree.depth {
+            for (i, &r) in at.iter_mut().zip(&rows) {
+                *i = step(nodes, codes, n_rows, r, *i as usize) as u32;
             }
         }
+        for (slot, &i) in block.iter_mut().zip(&at) {
+            *slot = tree.values[i as usize];
+        }
+        k += BLOCK;
+    }
+    for slot in blocks.into_remainder() {
+        let r = row(k);
+        let mut i = 0;
+        for _ in 0..tree.depth {
+            i = step(nodes, codes, n_rows, r, i);
+        }
+        *slot = tree.values[i];
+        k += 1;
+    }
+}
+
+/// Scores `out.len()` rows into `out`, where `row(k)` is the code
+/// buffer row of output `k`.
+fn score_member(
+    member: &CodeMember,
+    codes: &[u8],
+    n_rows: usize,
+    row: impl Fn(usize) -> usize + Copy,
+    out: &mut [f64],
+) {
+    match member {
+        CodeMember::Constant(p) => out.fill(*p),
+        CodeMember::Tree(tree) => score_tree(tree, codes, n_rows, row, out),
         CodeMember::Vote(members) => {
             out.fill(0.0);
-            let mut buf = vec![0.0f64; n_rows];
+            let mut buf = vec![0.0f64; out.len()];
             for m in members {
-                score_member(m, codes, n_rows, &mut buf);
+                score_member(m, codes, n_rows, row, &mut buf);
                 for (o, b) in out.iter_mut().zip(&buf) {
                     *o += b;
                 }
             }
-            let inv = 1.0 / members.len().max(1) as f64;
+            // Divide, as the f64 soft vote does: multiplying by the
+            // reciprocal is not bit-identical for every member count.
+            let k = members.len().max(1) as f64;
             for o in out.iter_mut() {
-                *o *= inv;
+                *o /= k;
             }
         }
     }
@@ -261,6 +384,106 @@ mod tests {
         let mut got = vec![0.0; 4];
         scorer.score_block(&codes, 4, &mut got);
         assert_eq!(got, model.predict_proba(&test_x));
+    }
+
+    /// Three features on coarse grids (heavily repeated values) and
+    /// one continuous one.
+    fn repetitive_data(rows: usize, seed: u64) -> (Matrix, Vec<u8>) {
+        let mut rng = SeededRng::new(seed);
+        let mut x = Matrix::with_capacity(rows, 4);
+        let mut y = Vec::with_capacity(rows);
+        for _ in 0..rows {
+            let row = [
+                rng.below(4) as f64,
+                (rng.normal(0.0, 1.0) * 2.0).round() / 2.0,
+                f64::from(u8::from(rng.uniform() < 0.2)),
+                rng.normal(0.0, 1.0),
+            ];
+            y.push(u8::from(row[0] + row[1] + row[3] > 1.5));
+            x.push_row(&row);
+        }
+        (x, y)
+    }
+
+    #[test]
+    fn score_rows_matches_predict_proba_on_row_subsets() {
+        let (x, y) = repetitive_data(6000, 5);
+        let bins = BinIndex::build(&x, 64);
+        let train: Vec<u32> = (0..6000).step_by(2).collect();
+        let problem = BinnedProblem {
+            bins: &bins,
+            y: &y,
+            weights: None,
+        };
+        let model = hist_tree().fit_on_bins(&problem, &train, 11);
+        let scorer = CodeScorer::compile(model.as_ref(), bins.cut_grids()).unwrap();
+        // An arbitrary subset: unsorted, with repeats, spanning several
+        // parallel tasks.
+        let mut rng = SeededRng::new(12);
+        let subset: Vec<u32> = (0..4500).map(|_| rng.below(6000) as u32).collect();
+        let rows: Vec<usize> = subset.iter().map(|&r| r as usize).collect();
+        let expect = model.predict_proba(&x.select_rows(&rows));
+        for threads in [1, 2, 4] {
+            let mut got = vec![0.0; subset.len()];
+            spe_runtime::Runtime::with_threads(threads)
+                .install(|| scorer.score_rows(bins.codes(), bins.n_rows(), &subset, &mut got));
+            assert_eq!(got, expect, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn score_block_is_exact_on_nan_rows_in_parallel() {
+        let (x, y) = repetitive_data(3000, 6);
+        let bins = BinIndex::build(&x, 32);
+        let train: Vec<u32> = (0..3000).collect();
+        let problem = BinnedProblem {
+            bins: &bins,
+            y: &y,
+            weights: None,
+        };
+        let model = hist_tree().fit_on_bins(&problem, &train, 13);
+        let scorer = CodeScorer::compile(model.as_ref(), bins.cut_grids()).unwrap();
+        let (mut test_x, _) = repetitive_data(5000, 7);
+        for r in (0..5000).step_by(7) {
+            test_x.set(r, r % 4, f64::NAN);
+        }
+        let mut codes = vec![0u8; 5000 * 4];
+        encode_batch_into(bins.cut_grids(), test_x.view(), &mut codes);
+        let mut got = vec![0.0; 5000];
+        spe_runtime::Runtime::with_threads(2)
+            .install(|| scorer.score_block(&codes, 5000, &mut got));
+        assert_eq!(got, model.predict_proba(&test_x));
+    }
+
+    #[test]
+    fn soft_vote_matches_f64_soft_vote() {
+        let (x, y) = repetitive_data(2000, 8);
+        let bins = BinIndex::build(&x, 32);
+        let problem = BinnedProblem {
+            bins: &bins,
+            y: &y,
+            weights: None,
+        };
+        let members: Vec<Box<dyn Model>> = (0..3u32)
+            .map(|m| {
+                let rows: Vec<u32> = (m..2000).step_by(3).collect();
+                hist_tree().fit_on_bins(&problem, &rows, u64::from(m))
+            })
+            .collect();
+        let vote = crate::ensemble::SoftVoteEnsemble::try_new(members).unwrap();
+        let scorer = CodeScorer::compile(&vote, bins.cut_grids()).unwrap();
+        let mut got = vec![0.0; 2000];
+        scorer.score_block(bins.codes(), 2000, &mut got);
+        assert_eq!(got, vote.predict_proba(&x));
+    }
+
+    #[test]
+    #[should_panic(expected = "row id out of range")]
+    fn score_rows_rejects_foreign_row_ids() {
+        let model = crate::traits::ConstantModel(0.5);
+        let scorer = CodeScorer::compile(&model, &[vec![0.5]]).unwrap();
+        let mut out = vec![0.0; 2];
+        scorer.score_rows(&[0, 1, 1], 3, &[0, 3], &mut out);
     }
 
     #[test]

@@ -138,6 +138,48 @@ where
     pool::global().run_scope(tasks);
 }
 
+/// Splits `items` into contiguous chunks (the [`par_chunks`] ranges for
+/// `min_chunk`), applies `f(start, chunk)` to each in parallel, where
+/// `start` is the chunk's offset into `items`, and returns the
+/// per-chunk results in chunk order.
+///
+/// The row-parallel sibling of [`par_for_each_mut`]: per-row kernels
+/// write their own output rows, so the result is the same for every
+/// thread count as long as each row's value depends only on its index.
+/// Per-chunk results depend on where chunks start and end; callers
+/// combine them with an operation that chunking cannot change (integer
+/// sums, min/max).
+pub fn par_chunks_mut<T, R, F>(items: &mut [T], min_chunk: usize, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, &mut [T]) -> R + Send + Sync,
+{
+    let ranges = chunk_ranges(items.len(), min_chunk, current_threads());
+    if ranges.len() <= 1 {
+        return if items.is_empty() {
+            Vec::new()
+        } else {
+            vec![f(0, items)]
+        };
+    }
+    let mut parts: Vec<(usize, &mut [T], Option<R>)> = Vec::with_capacity(ranges.len());
+    let mut rest = items;
+    for r in &ranges {
+        let (head, tail) = rest.split_at_mut(r.len());
+        parts.push((r.start, head, None));
+        rest = tail;
+    }
+    par_for_each_mut(&mut parts, |_, (start, chunk, out)| {
+        *out = Some(f(*start, chunk));
+    });
+    // `par_for_each_mut` runs every task or re-raises the panic of one.
+    parts
+        .into_iter()
+        .map(|(_, _, out)| out.expect("every chunk task ran"))
+        .collect()
+}
+
 /// A panic captured from one parallel task, converted to a value.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TaskPanic {
@@ -338,6 +380,26 @@ mod tests {
         let mut one = [7usize];
         par_for_each_mut(&mut one, |i, slot| *slot += i + 1);
         assert_eq!(one, [8]);
+    }
+
+    #[test]
+    fn par_chunks_mut_hands_out_every_row_once_with_its_offset() {
+        for threads in [1usize, 2, 5] {
+            let mut data = vec![0usize; 1001];
+            let lens = Runtime::with_threads(threads).install(|| {
+                par_chunks_mut(&mut data, 16, |start, chunk| {
+                    for (k, v) in chunk.iter_mut().enumerate() {
+                        *v += start + k + 1;
+                    }
+                    chunk.len()
+                })
+            });
+            assert_eq!(data, (1..=1001).collect::<Vec<_>>(), "{threads} threads");
+            assert_eq!(lens.iter().sum::<usize>(), 1001);
+            assert!(lens.len() > 1, "{threads} threads: one chunk");
+        }
+        let mut empty: [u8; 0] = [];
+        assert!(par_chunks_mut(&mut empty, 4, |_, _| unreachable!()).is_empty());
     }
 
     #[test]

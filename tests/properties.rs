@@ -109,6 +109,19 @@ proptest! {
         prop_assert!((contrib - h.iter().sum::<f64>()).abs() < 1e-9);
         // Every assignment is a valid bin.
         prop_assert!(bins.assignment().iter().all(|&b| b < k));
+        // Each bin's members ascend in row order, belong to that bin,
+        // and together the bins cover every row exactly once.
+        let mut seen = vec![0usize; h.len()];
+        for b in 0..k {
+            let members = bins.members(b);
+            prop_assert_eq!(members.len(), bins.stats()[b].population);
+            prop_assert!(members.windows(2).all(|w| w[0] < w[1]));
+            for &i in members {
+                prop_assert_eq!(bins.assignment()[i], b);
+                seen[i] += 1;
+            }
+        }
+        prop_assert!(seen.iter().all(|&c| c == 1));
     }
 
     #[test]
