@@ -21,11 +21,11 @@ pub struct BinStats {
 ///
 /// Built row-parallel and bit-identically for every thread count: the
 /// range and each row's bin are pure per-row work (min/max is exact in
-/// any order), while bin populations and contributions are summed in
-/// row order. Members are counting-sorted into one flat buffer, so each
-/// bin's positions ascend. [`Self::recut`] rebuilds the histogram in
-/// place, reusing every buffer — the self-paced loops rebin the same
-/// majority set every round.
+/// any order), populations are integer counts, and each bin's
+/// contribution is summed over its members in row order. Members are
+/// counting-sorted into one flat buffer, so each bin's positions
+/// ascend. The self-paced loops rebin the same majority set every
+/// round, rebuilding one histogram in place over its per-row buffers.
 #[derive(Clone, Debug, Default)]
 pub struct HardnessBins {
     /// Bin index of each input sample.

@@ -1046,7 +1046,7 @@ mod tests {
     }
 
     #[test]
-    fn traced_uniform_fit_records_hardness_untraced_skips_it() {
+    fn traced_uniform_fit_still_records_hardness() {
         let d = overlapping(20, 300, 70);
         let cfg = SelfPacedEnsembleConfig {
             alpha_schedule: AlphaSchedule::Uniform,

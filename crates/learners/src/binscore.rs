@@ -146,9 +146,6 @@ fn compile_member(snapshot: &ModelSnapshot, cuts: &[Vec<f64>]) -> Result<CodeMem
 
 fn compile_tree(tree: &TreeModel, cuts: &[Vec<f64>]) -> Result<CodeTree, SpeError> {
     let n_nodes = tree.n_nodes();
-    if n_nodes == 0 {
-        return Err(SpeError::InvalidConfig("tree has no nodes".into()));
-    }
     let mut nodes = Vec::with_capacity(n_nodes);
     let mut values = Vec::with_capacity(n_nodes);
     for i in 0..n_nodes {
@@ -184,11 +181,6 @@ fn compile_tree(tree: &TreeModel, cuts: &[Vec<f64>]) -> Result<CodeTree, SpeErro
                          shared grid (model was not histogram-trained on it)"
                     )));
                 }
-                if left >= n_nodes || right >= n_nodes {
-                    return Err(SpeError::InvalidConfig(format!(
-                        "tree node {i} points outside its {n_nodes} nodes"
-                    )));
-                }
                 (
                     CodeNode {
                         feature: feature as u32,
@@ -203,32 +195,21 @@ fn compile_tree(tree: &TreeModel, cuts: &[Vec<f64>]) -> Result<CodeTree, SpeErro
         nodes.push(node);
         values.push(value);
     }
-    let depth = tree_depth(&nodes)?;
+    // A tree arena is non-empty and stores every split before its
+    // children (`TreeModel` checks both on decode), so one backward
+    // pass sees each node's subtree depths before the node itself.
+    let mut below = vec![0usize; n_nodes];
+    for i in (0..n_nodes).rev() {
+        let n = nodes[i];
+        if n.left as usize != i {
+            below[i] = 1 + below[n.left as usize].max(below[n.right as usize]);
+        }
+    }
     Ok(CodeTree {
         nodes,
         values,
-        depth,
+        depth: below[0],
     })
-}
-
-/// Longest root-to-leaf path of a compiled tree; a path longer than
-/// the node count can only be a cycle, which is rejected.
-fn tree_depth(nodes: &[CodeNode]) -> Result<usize, SpeError> {
-    let mut depth = 0;
-    let mut stack = vec![(0usize, 0usize)];
-    while let Some((i, d)) = stack.pop() {
-        let n = nodes[i];
-        if n.left as usize == i {
-            depth = depth.max(d);
-            continue;
-        }
-        if d >= nodes.len() {
-            return Err(SpeError::InvalidConfig("tree has a cycle".into()));
-        }
-        stack.push((n.left as usize, d + 1));
-        stack.push((n.right as usize, d + 1));
-    }
-    Ok(depth)
 }
 
 /// Rows walked level by level as one block: the block's walks are
@@ -464,10 +445,16 @@ mod tests {
             y: &y,
             weights: None,
         };
+        // Shallow trees keep impure leaves, so the vote averages
+        // fractions whose sum / 3 and sum · (1/3) differ in the last bit.
+        let shallow = DecisionTreeConfig {
+            max_depth: 3,
+            ..hist_tree()
+        };
         let members: Vec<Box<dyn Model>> = (0..3u32)
             .map(|m| {
                 let rows: Vec<u32> = (m..2000).step_by(3).collect();
-                hist_tree().fit_on_bins(&problem, &rows, u64::from(m))
+                shallow.fit_on_bins(&problem, &rows, u64::from(m))
             })
             .collect();
         let vote = crate::ensemble::SoftVoteEnsemble::try_new(members).unwrap();
