@@ -1,13 +1,19 @@
-//! Micro-batching scoring engine.
+//! Request-granular scoring engine.
 //!
-//! Single-row scoring of an ensemble is overhead-dominated: every call
-//! pays trait-object dispatch per member plus a handful of short-lived
-//! allocations, and none of it parallelizes. The engine amortizes that
-//! by queueing incoming rows and scoring them in batches — a dedicated
-//! scheduler thread drains the queue whenever `max_batch` rows are
-//! waiting or the oldest row has waited `max_delay`, whichever comes
-//! first. Batches are scored through the model's batch entry point,
-//! which fans out across the shared `spe-runtime` pool.
+//! Single-row scoring of an ensemble is overhead-dominated, so the
+//! engine scores queued requests in batches. Each request is one *unit*
+//! — its rows as one row-major block, one rendezvous slot, one deadline.
+//! A scheduler thread takes whole units off the queue until it holds
+//! `max_batch` rows (a larger unit is scored whole), scores them in one
+//! call fanned out across the shared `spe-runtime` pool, and fills one
+//! slot per unit. It never waits on a timer while work is queued:
+//! units arriving while a batch is scored form the next batch, so a lone
+//! request is scored at once and batches grow with load. Queue depth
+//! and capacity are counted in rows.
+//!
+//! Every unit is scored k-wide (`[rows × n_classes]`); a binary score is
+//! a view of that output ([`scalar_score`]), so binary and k-class
+//! requests share one queue, one deadline and one failure contract.
 //!
 //! The model lives behind an `RwLock`ed registry slot, so a retrained
 //! model can be hot-swapped with [`ScoringEngine::swap_model`] while
@@ -24,10 +30,11 @@
 
 use crate::error::ServeError;
 use crate::quantize::QuantizedModel;
-use crossbeam::deque::Injector;
 use parking_lot::{Condvar, Mutex, RwLock};
 use spe_data::{Matrix, MatrixView};
 use spe_learners::Model;
+use spe_runtime::Runtime;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -53,14 +60,12 @@ pub enum ScoreBackend {
 /// clamping them; `EngineConfig::default()` is the builder's default.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// Rows per batch at which the scheduler flushes immediately.
+    /// Rows at which the scheduler stops gathering units into a batch;
+    /// units are never split, so a larger request is still scored whole.
     pub max_batch: usize,
-    /// Longest a queued row waits before its (possibly short) batch is
-    /// flushed anyway. Bounds tail latency under light load.
-    pub max_delay: Duration,
-    /// Queue capacity; submissions beyond it fail fast with
-    /// [`ServeError::QueueFull`] so overload backpressures the caller
-    /// instead of growing an unbounded buffer.
+    /// Queue capacity in rows; a submission whose rows do not fit fails
+    /// fast with [`ServeError::QueueFull`] so overload backpressures the
+    /// caller instead of growing an unbounded buffer.
     pub queue_capacity: usize,
     /// Scoring kernel selection.
     pub backend: ScoreBackend,
@@ -70,7 +75,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         Self {
             max_batch: 64,
-            max_delay: Duration::from_millis(2),
             queue_capacity: 1024,
             backend: ScoreBackend::Auto,
         }
@@ -95,19 +99,13 @@ pub struct EngineConfigBuilder {
 }
 
 impl EngineConfigBuilder {
-    /// Rows per batch at which the scheduler flushes immediately.
+    /// Rows at which the scheduler stops gathering units into a batch.
     pub fn max_batch(mut self, max_batch: usize) -> Self {
         self.config.max_batch = max_batch;
         self
     }
 
-    /// Longest a queued row waits before its batch is flushed anyway.
-    pub fn max_delay(mut self, max_delay: Duration) -> Self {
-        self.config.max_delay = max_delay;
-        self
-    }
-
-    /// Queue capacity before submissions fail with `QueueFull`.
+    /// Queue capacity, in rows, before submissions fail with `QueueFull`.
     pub fn queue_capacity(mut self, queue_capacity: usize) -> Self {
         self.config.queue_capacity = queue_capacity;
         self
@@ -149,16 +147,18 @@ const LATENCY_WINDOW: usize = 4096;
 /// Counters published by [`ScoringEngine::stats`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ServeStats {
-    /// Rows accepted through [`ScoringEngine::submit`].
+    /// Rows accepted through the queue ([`ScoringEngine::submit`] and
+    /// [`ScoringEngine::submit_rows`]).
     pub requests: u64,
     /// Batches flushed by the scheduler.
     pub batches: u64,
     /// Rows scored through the direct [`ScoringEngine::score_matrix`]
     /// path (these bypass the queue and are not in `requests`).
     pub direct_rows: u64,
-    /// Deepest the queue has ever been at submission time.
+    /// Deepest the queue has ever been, in rows, counting the accepted
+    /// submission itself. Never exceeds the queue capacity.
     pub queue_high_water: usize,
-    /// Median batch service time (queue drain + scoring), microseconds.
+    /// Median batch service time (gather + scoring), microseconds.
     /// Zero until the first batch completes.
     pub p50_batch_latency_us: u64,
     /// 99th-percentile batch service time, microseconds.
@@ -168,6 +168,7 @@ pub struct ServeStats {
 }
 
 /// Mutable statistics shared between submitters and the scheduler.
+#[derive(Default)]
 struct StatsInner {
     requests: AtomicU64,
     batches: AtomicU64,
@@ -179,17 +180,6 @@ struct StatsInner {
 }
 
 impl StatsInner {
-    fn new() -> Self {
-        Self {
-            requests: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            direct_rows: AtomicU64::new(0),
-            queue_high_water: AtomicUsize::new(0),
-            model_swaps: AtomicU64::new(0),
-            latencies: Mutex::new(Vec::new()),
-        }
-    }
-
     fn record_batch(&self, elapsed: Duration) {
         self.batches.fetch_add(1, Ordering::Relaxed);
         let us = elapsed.as_micros().min(u128::from(u64::MAX)) as u64;
@@ -229,82 +219,98 @@ impl StatsInner {
     }
 }
 
-/// One queued scoring request.
-struct Request {
-    row: Vec<f64>,
+/// One queued request: its rows and the slot its scores go to.
+struct Unit {
+    x: Matrix,
     slot: Arc<Slot>,
 }
 
-/// Rendezvous cell a submitter blocks on until the scheduler fills it.
+/// Rendezvous cell a submitter blocks on until the scheduler fills it
+/// with the unit's row-major `[rows × n_classes]` distributions.
+#[derive(Default)]
 struct Slot {
-    result: Mutex<Option<Result<f64, ServeError>>>,
+    result: Mutex<Option<Result<Vec<f64>, ServeError>>>,
     ready: Condvar,
 }
 
 impl Slot {
-    fn new() -> Self {
-        Self {
-            result: Mutex::new(None),
-            ready: Condvar::new(),
-        }
-    }
-
-    fn fill(&self, value: Result<f64, ServeError>) {
+    fn fill(&self, value: Result<Vec<f64>, ServeError>) {
         *self.result.lock() = Some(value);
         self.ready.notify_all();
     }
 }
 
-/// Handle to one in-flight [`ScoringEngine::submit`] request.
-#[must_use = "wait() on the pending score to get the probability"]
-pub struct PendingScore {
+/// Handle to one in-flight [`ScoringEngine::submit_rows`] unit.
+#[must_use = "wait on the pending unit to get its scores"]
+pub struct PendingRows {
     slot: Arc<Slot>,
 }
 
-impl PendingScore {
-    /// Blocks until the scheduler scores this row's batch.
+impl PendingRows {
+    /// Blocks until the scheduler scores this unit's batch, returning
+    /// its row-major `[rows × n_classes]` distributions.
     ///
-    /// Always completes: engine shutdown drains the queue, scoring (or
-    /// failing) every accepted request before the scheduler exits.
-    pub fn wait(self) -> Result<f64, ServeError> {
-        let mut guard = self.slot.result.lock();
-        loop {
-            if let Some(res) = guard.take() {
-                return res;
-            }
-            self.slot.ready.wait(&mut guard);
-        }
+    /// Always completes: engine shutdown drains the queue, scoring every
+    /// accepted unit before the scheduler exits.
+    pub fn wait(self) -> Result<Vec<f64>, ServeError> {
+        self.wait_until(None)
     }
 
-    /// Non-blocking poll; `None` while the batch is still pending.
-    pub fn try_take(&self) -> Option<Result<f64, ServeError>> {
-        self.slot.result.lock().take()
+    /// Blocks at most `timeout`, then fails with
+    /// [`ServeError::DeadlineExceeded`] — so a wedged model can never
+    /// hang a connection. The deadline is checked before the result, so
+    /// a zero timeout always misses. A late unit is still scored; its
+    /// result is discarded when the abandoned slot drops.
+    pub fn wait_timeout(self, timeout: Duration) -> Result<Vec<f64>, ServeError> {
+        self.wait_until(Instant::now().checked_add(timeout))
     }
 
-    /// Blocks at most `timeout`, returning
-    /// [`ServeError::DeadlineExceeded`] if the batch has not completed
-    /// by then.
-    ///
-    /// This is the deadline-propagation primitive for network serving:
-    /// a client-supplied timeout bounds the wait, so a wedged model can
-    /// never hang a connection. On timeout the row stays in its batch
-    /// and is still scored internally — the result is simply discarded
-    /// when the abandoned slot drops.
-    pub fn wait_timeout(self, timeout: Duration) -> Result<f64, ServeError> {
-        let deadline = Instant::now() + timeout;
+    fn wait_until(self, deadline: Option<Instant>) -> Result<Vec<f64>, ServeError> {
         let mut guard = self.slot.result.lock();
         loop {
-            if let Some(res) = guard.take() {
-                return res;
-            }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
+            if deadline.is_some_and(|d| Instant::now() >= d) {
                 return Err(ServeError::DeadlineExceeded);
             }
+            if let Some(res) = guard.take() {
+                return res;
+            }
             // A spurious wake or a timeout that raced the fill both land
-            // back at the `take` above, so no result is ever lost.
-            let _ = self.slot.ready.wait_for(&mut guard, remaining);
+            // back at the checks above, so no result is ever lost.
+            match deadline {
+                Some(d) => {
+                    let remaining = d.saturating_duration_since(Instant::now());
+                    let _ = self.slot.ready.wait_for(&mut guard, remaining);
+                }
+                None => self.slot.ready.wait(&mut guard),
+            }
         }
+    }
+}
+
+/// Handle to one in-flight single-row [`ScoringEngine::submit`].
+#[must_use = "wait() on the pending score to get the probability"]
+pub struct PendingScore(PendingRows);
+
+impl PendingScore {
+    /// [`PendingRows::wait`] for the row's scalar score.
+    pub fn wait(self) -> Result<f64, ServeError> {
+        self.0.wait().map(|dist| scalar_score(&dist))
+    }
+
+    /// [`PendingRows::wait_timeout`] for the row's scalar score.
+    pub fn wait_timeout(self, timeout: Duration) -> Result<f64, ServeError> {
+        self.0.wait_timeout(timeout).map(|dist| scalar_score(&dist))
+    }
+}
+
+/// The scalar score of one row's class distribution, as
+/// [`Model::predict_proba`] reports it: `p` of a binary `[1 − p, p]`
+/// row, and `1 − P(class 0)` for more classes.
+pub fn scalar_score(dist: &[f64]) -> f64 {
+    if dist.len() == 2 {
+        dist[1]
+    } else {
+        1.0 - dist[0]
     }
 }
 
@@ -361,11 +367,16 @@ impl ServingSlot {
 
 /// State shared between the engine handle and its scheduler thread.
 struct Shared {
-    queue: Injector<Request>,
+    /// Accepted units in arrival order; the scheduler sleeps on `ready`
+    /// while it is empty.
+    queue: Mutex<VecDeque<Unit>>,
+    ready: Condvar,
+    /// Rows reserved in the queue: added by a submitter before it
+    /// pushes, released by the scheduler as it takes units. A pure
+    /// count (the units themselves pass through the `queue` lock), so
+    /// every access is `Relaxed`.
+    queued_rows: AtomicUsize,
     model: RwLock<ServingSlot>,
-    /// Scheduler wake signal: set when work arrives or on shutdown.
-    wake: Mutex<bool>,
-    wake_cv: Condvar,
     stopping: AtomicBool,
     stats: StatsInner,
     config: EngineConfig,
@@ -378,7 +389,7 @@ struct Shared {
 /// Batched scoring engine over a hot-swappable model.
 ///
 /// Dropping the engine performs a graceful shutdown: no new requests
-/// are accepted, already-queued rows are scored, and the scheduler
+/// are accepted, already-queued units are scored, and the scheduler
 /// thread is joined.
 pub struct ScoringEngine {
     shared: Arc<Shared>,
@@ -403,20 +414,23 @@ impl ScoringEngine {
         let slot = ServingSlot::resolve(Arc::from(model), n_features, config.backend)?;
         let n_classes = slot.model.n_classes();
         let shared = Arc::new(Shared {
-            queue: Injector::new(),
+            queue: Mutex::default(),
+            ready: Condvar::default(),
+            queued_rows: AtomicUsize::default(),
             model: RwLock::new(slot),
-            wake: Mutex::new(false),
-            wake_cv: Condvar::new(),
             stopping: AtomicBool::new(false),
-            stats: StatsInner::new(),
+            stats: StatsInner::default(),
             config,
             n_features,
             n_classes,
         });
         let worker = Arc::clone(&shared);
+        // The scheduler fans batches out with the parallelism of the
+        // thread that started the engine.
+        let runtime = Runtime::with_threads(spe_runtime::current_threads());
         let scheduler = std::thread::Builder::new()
             .name("spe-serve-scheduler".into())
-            .spawn(move || scheduler_loop(&worker))
+            .spawn(move || runtime.install(|| scheduler_loop(&worker)))
             .map_err(|e| ServeError::Io(format!("failed to spawn scheduler thread: {e}")))?;
         Ok(Self {
             shared,
@@ -435,36 +449,41 @@ impl ScoringEngine {
         }
     }
 
-    /// Enqueues one row for batched scoring.
-    ///
-    /// Fails fast with [`ServeError::QueueFull`] at capacity and
-    /// [`ServeError::RowWidthMismatch`] on a wrong-width row; neither
-    /// consumes queue space.
+    /// Enqueues one row for batched scoring: a one-row
+    /// [`submit_rows`](Self::submit_rows) resolving to its scalar score.
     pub fn submit(&self, row: &[f64]) -> Result<PendingScore, ServeError> {
-        if self.shared.stopping.load(Ordering::Acquire) {
-            return Err(ServeError::EngineStopped);
+        self.submit_rows(Matrix::from_vec(1, row.len(), row.to_vec()))
+            .map(PendingScore)
+    }
+
+    /// Enqueues one request's rows, moved not copied, as one unit that is
+    /// scored whole within one batch. Fails fast with
+    /// [`ServeError::QueueFull`] when the rows do not fit in the queue and
+    /// [`ServeError::RowWidthMismatch`] on a wrong-width block.
+    pub fn submit_rows(&self, x: Matrix) -> Result<PendingRows, ServeError> {
+        self.admit(x.view())?;
+        let shared = &*self.shared;
+        let rows = x.rows();
+        let capacity = shared.config.queue_capacity;
+        // One atomic add reserves the rows, so concurrent submitters can
+        // never overshoot the capacity between a check and a push.
+        let depth = shared.queued_rows.fetch_add(rows, Ordering::Relaxed) + rows;
+        if depth > capacity {
+            shared.queued_rows.fetch_sub(rows, Ordering::Relaxed);
+            return Err(ServeError::QueueFull { capacity });
         }
-        if row.len() != self.shared.n_features {
-            return Err(ServeError::RowWidthMismatch {
-                expected: self.shared.n_features,
-                got: row.len(),
-            });
-        }
-        let depth = self.shared.queue.len();
-        if depth >= self.shared.config.queue_capacity {
-            return Err(ServeError::QueueFull {
-                capacity: self.shared.config.queue_capacity,
-            });
-        }
-        let slot = Arc::new(Slot::new());
-        self.shared.queue.push(Request {
-            row: row.to_vec(),
+        let slot = Arc::new(Slot::default());
+        shared.queue.lock().push_back(Unit {
+            x,
             slot: Arc::clone(&slot),
         });
-        self.shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-        self.shared.stats.raise_high_water(depth + 1);
-        notify(&self.shared);
-        Ok(PendingScore { slot })
+        shared.ready.notify_one();
+        shared
+            .stats
+            .requests
+            .fetch_add(rows as u64, Ordering::Relaxed);
+        shared.stats.raise_high_water(depth);
+        Ok(PendingRows { slot })
     }
 
     /// Scores a whole matrix synchronously, bypassing the queue.
@@ -478,51 +497,11 @@ impl ScoringEngine {
     }
 
     /// Scores a borrowed row block into a caller-owned buffer — the
-    /// zero-alloc serving path.
-    ///
-    /// Steady-state scoring through this entry allocates nothing: the
-    /// input is a view, the output is the caller's slice, and the
-    /// backend's per-batch scratch is thread-local. Small batches skip
-    /// the fan-out machinery entirely; larger ones split across the
-    /// shared runtime in contiguous chunks. Chunk geometry mirrors
-    /// `par_chunks` (≥64 rows, ≤4 chunks/thread); per-row results are
-    /// chunk-independent, so the output is bit-identical for every
-    /// thread count and batch split.
+    /// zero-alloc direct path: the input is a view, the output is the
+    /// caller's slice, and the backend's scratch is thread-local. Blocks
+    /// fan out across the shared runtime exactly as queued batches do.
     pub fn score_into(&self, x: MatrixView<'_>, out: &mut [f64]) -> Result<(), ServeError> {
-        if self.shared.stopping.load(Ordering::Acquire) {
-            return Err(ServeError::EngineStopped);
-        }
-        if x.cols() != self.shared.n_features && x.rows() > 0 {
-            return Err(ServeError::RowWidthMismatch {
-                expected: self.shared.n_features,
-                got: x.cols(),
-            });
-        }
-        if out.len() != x.rows() {
-            return Err(ServeError::OutputLengthMismatch {
-                expected: x.rows(),
-                got: out.len(),
-            });
-        }
-        let model = self.shared.model.read().active();
-        let threads = spe_runtime::current_threads().max(1);
-        let chunk_len = x.rows().div_ceil(threads * 4).max(64);
-        if threads <= 1 || x.rows() <= chunk_len {
-            // One worker (or one chunk) gains nothing from splitting —
-            // score the whole block in place.
-            model.predict_proba_into(x, out);
-        } else {
-            let mut chunks: Vec<&mut [f64]> = out.chunks_mut(chunk_len).collect();
-            spe_runtime::par_for_each_mut(&mut chunks, |i, chunk| {
-                let start = i * chunk_len;
-                model.predict_proba_into(x.rows_range(start..start + chunk.len()), chunk);
-            });
-        }
-        self.shared
-            .stats
-            .direct_rows
-            .fetch_add(x.rows() as u64, Ordering::Relaxed);
-        Ok(())
+        self.score_direct(x, out, 1)
     }
 
     /// Installs a new model; later batches score against it.
@@ -557,7 +536,7 @@ impl ScoringEngine {
 
     /// Rows currently waiting in the queue.
     pub fn queue_depth(&self) -> usize {
-        self.shared.queue.len()
+        self.shared.queued_rows.load(Ordering::Relaxed)
     }
 
     /// The configured queue capacity (admission controllers watermark
@@ -566,7 +545,7 @@ impl ScoringEngine {
         self.shared.config.queue_capacity
     }
 
-    /// The configured flush batch size.
+    /// Rows at which the scheduler stops gathering units into a batch.
     pub fn max_batch(&self) -> usize {
         self.shared.config.max_batch
     }
@@ -592,9 +571,13 @@ impl ScoringEngine {
 
     /// K-wide twin of [`ScoringEngine::score_into`]: writes each row's
     /// full class distribution into the caller's row-major
-    /// `[rows × n_classes]` buffer. Chunk geometry (and therefore the
-    /// bit pattern of every probability) matches the scalar path.
+    /// `[rows × n_classes]` buffer.
     pub fn score_classes_into(&self, x: MatrixView<'_>, out: &mut [f64]) -> Result<(), ServeError> {
+        self.score_direct(x, out, self.shared.n_classes)
+    }
+
+    /// Rejects work for a stopped engine or rows of the wrong width.
+    fn admit(&self, x: MatrixView<'_>) -> Result<(), ServeError> {
         if self.shared.stopping.load(Ordering::Acquire) {
             return Err(ServeError::EngineStopped);
         }
@@ -604,25 +587,32 @@ impl ScoringEngine {
                 got: x.cols(),
             });
         }
-        let k = self.shared.n_classes;
-        if out.len() != x.rows() * k {
+        Ok(())
+    }
+
+    /// The direct paths: `width` 1 writes scalar probabilities, any
+    /// other width the model's `width`-class distributions.
+    fn score_direct(
+        &self,
+        x: MatrixView<'_>,
+        out: &mut [f64],
+        width: usize,
+    ) -> Result<(), ServeError> {
+        self.admit(x)?;
+        if out.len() != x.rows() * width {
             return Err(ServeError::OutputLengthMismatch {
-                expected: x.rows() * k,
+                expected: x.rows() * width,
                 got: out.len(),
             });
         }
         let model = self.shared.model.read().active();
-        let threads = spe_runtime::current_threads().max(1);
-        let chunk_len = x.rows().div_ceil(threads * 4).max(64);
-        if threads <= 1 || x.rows() <= chunk_len {
-            model.predict_proba_k_into(x, out);
-        } else {
-            let mut chunks: Vec<&mut [f64]> = out.chunks_mut(chunk_len * k).collect();
-            spe_runtime::par_for_each_mut(&mut chunks, |i, chunk| {
-                let start = i * chunk_len;
-                model.predict_proba_k_into(x.rows_range(start..start + chunk.len() / k), chunk);
-            });
-        }
+        fan_out(x, out, width, |x, out| {
+            if width == 1 {
+                model.predict_proba_into(x, out);
+            } else {
+                model.predict_proba_k_into(x, out);
+            }
+        });
         self.shared
             .stats
             .direct_rows
@@ -638,125 +628,133 @@ impl ScoringEngine {
 
 impl Drop for ScoringEngine {
     fn drop(&mut self) {
-        self.shared.stopping.store(true, Ordering::Release);
-        notify(&self.shared);
+        // Raised under the queue lock so the scheduler cannot miss it
+        // between its emptiness check and its wait.
+        {
+            let _queue = self.shared.queue.lock();
+            self.shared.stopping.store(true, Ordering::Release);
+        }
+        self.shared.ready.notify_one();
         if let Some(h) = self.scheduler.take() {
             let _ = h.join();
         }
-        // The scheduler scored everything it saw, but a submit can race
-        // the stop flag and push after its final drain. Fail those
-        // stragglers with a typed error so no waiter is ever left
-        // blocked on a dead engine.
-        while let Some(req) = self.shared.queue.steal().success() {
-            req.slot.fill(Err(ServeError::Shutdown));
+        // The scheduler drains every accepted unit before it exits; if
+        // it died instead, fail what it left with a typed error so no
+        // waiter is ever left blocked on a dead engine.
+        for unit in self.shared.queue.lock().drain(..) {
+            unit.slot.fill(Err(ServeError::Shutdown));
         }
     }
 }
 
-fn notify(shared: &Shared) {
-    let mut flag = shared.wake.lock();
-    *flag = true;
-    shared.wake_cv.notify_all();
-}
-
-/// Pops up to `limit` requests off the injector.
-fn drain(queue: &Injector<Request>, batch: &mut Vec<Request>, limit: usize) {
-    while batch.len() < limit {
-        match queue.steal().success() {
-            Some(req) => batch.push(req),
-            None => break,
-        }
+/// Scores `x` into `out` (`width` values per row) through `score`,
+/// fanning blocks larger than one chunk out across the shared runtime.
+/// Chunk geometry mirrors `par_chunks` (≥64 rows, ≤4 chunks per
+/// thread); per-row results are chunk-independent, so the output is
+/// bit-identical for every thread count and batch split.
+fn fan_out(
+    x: MatrixView<'_>,
+    out: &mut [f64],
+    width: usize,
+    score: impl Fn(MatrixView<'_>, &mut [f64]) + Sync,
+) {
+    let threads = spe_runtime::current_threads().max(1);
+    let chunk_len = x.rows().div_ceil(threads * 4).max(64);
+    if threads <= 1 || x.rows() <= chunk_len {
+        // One worker (or one chunk) gains nothing from splitting.
+        score(x, out);
+        return;
     }
+    let mut chunks: Vec<&mut [f64]> = out.chunks_mut(chunk_len * width).collect();
+    spe_runtime::par_for_each_mut(&mut chunks, |i, chunk| {
+        let start = i * chunk_len;
+        score(x.rows_range(start..start + chunk.len() / width), chunk);
+    });
 }
 
 fn scheduler_loop(shared: &Shared) {
-    let max_batch = shared.config.max_batch;
-    // Buffers reused across batches: requests, the gathered row-major
-    // feature block and the probability output. Steady-state scoring
-    // allocates nothing per batch.
-    let mut batch: Vec<Request> = Vec::with_capacity(max_batch);
-    let mut rows: Vec<f64> = Vec::with_capacity(max_batch * shared.n_features);
-    let mut probs: Vec<f64> = Vec::with_capacity(max_batch);
-    loop {
-        // Sleep until work or shutdown.
-        {
-            let mut flag = shared.wake.lock();
-            while !*flag && !shared.stopping.load(Ordering::Acquire) && shared.queue.is_empty() {
-                shared.wake_cv.wait(&mut flag);
-            }
-            *flag = false;
-        }
-        let stopping = shared.stopping.load(Ordering::Acquire);
-        if stopping && shared.queue.is_empty() {
-            return;
-        }
-
-        let started = Instant::now();
-        batch.clear();
-        drain(&shared.queue, &mut batch, max_batch);
-        if batch.is_empty() {
-            continue;
-        }
-        // Unless flushing is already warranted, linger up to max_delay
-        // from first dequeue so near-simultaneous submitters coalesce
-        // into one batch.
-        while batch.len() < max_batch && !shared.stopping.load(Ordering::Acquire) {
-            let elapsed = started.elapsed();
-            if elapsed >= shared.config.max_delay {
-                break;
-            }
-            let mut flag = shared.wake.lock();
-            if !*flag {
-                shared
-                    .wake_cv
-                    .wait_for(&mut flag, shared.config.max_delay - elapsed);
-            }
-            *flag = false;
-            drop(flag);
-            drain(&shared.queue, &mut batch, max_batch);
-        }
-
-        score_batch(shared, &batch, &mut rows, &mut probs, started);
+    // Buffers reused across batches: the units, the gathered row-major
+    // block of a multi-unit batch and the probability output.
+    let mut batch: Vec<Unit> = Vec::new();
+    let mut gathered: Vec<f64> = Vec::new();
+    let mut probs: Vec<f64> = Vec::new();
+    while take_batch(shared, &mut batch) {
+        score_batch(shared, &mut batch, &mut gathered, &mut probs);
     }
 }
 
+/// Blocks until work is queued — never on a timer — then moves whole
+/// units into `batch` in arrival order until it holds `max_batch` rows
+/// or the queue is empty; units are never split, so the last one may
+/// carry the batch past `max_batch`. False once the engine is stopping
+/// and the queue is empty.
+fn take_batch(shared: &Shared, batch: &mut Vec<Unit>) -> bool {
+    let mut queue = shared.queue.lock();
+    while queue.is_empty() {
+        if shared.stopping.load(Ordering::Acquire) {
+            return false;
+        }
+        shared.ready.wait(&mut queue);
+    }
+    let mut rows = 0;
+    while rows < shared.config.max_batch {
+        let Some(unit) = queue.pop_front() else { break };
+        rows += unit.x.rows();
+        batch.push(unit);
+    }
+    drop(queue);
+    shared.queued_rows.fetch_sub(rows, Ordering::Relaxed);
+    true
+}
+
+/// Scores a batch in one call and fills one slot per unit, draining
+/// `batch`.
 fn score_batch(
     shared: &Shared,
-    batch: &[Request],
-    rows: &mut Vec<f64>,
+    batch: &mut Vec<Unit>,
+    gathered: &mut Vec<f64>,
     probs: &mut Vec<f64>,
-    started: Instant,
 ) {
-    // Gather the rows into the reusable row-major buffer and score
-    // through `predict_proba_into` — no owned `Matrix`, no per-batch
-    // output vector.
-    rows.clear();
-    for req in batch {
-        rows.extend_from_slice(&req.row);
-    }
+    let started = Instant::now();
+    let k = shared.n_classes;
+    let rows: usize = batch.iter().map(|unit| unit.x.rows()).sum();
+    // A lone unit is scored in place; several are gathered first.
+    let x = match batch.as_slice() {
+        [unit] => unit.x.view(),
+        units => {
+            gathered.clear();
+            for unit in units {
+                gathered.extend_from_slice(unit.x.as_slice());
+            }
+            MatrixView::from_slice(gathered, rows, shared.n_features)
+        }
+    };
     probs.clear();
-    probs.resize(batch.len(), 0.0);
-    let x = MatrixView::from_slice(rows, batch.len(), shared.n_features);
+    probs.resize(rows * k, 0.0);
+    // One model per batch: a hot swap lands between batches, never
+    // inside one.
     let model = shared.model.read().active();
     // A misbehaving custom model (wrong output length, internal panic)
     // must fail the batch with a typed error, not kill the scheduler
     // thread and hang every waiter.
     let scored = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        model.predict_proba_into(x, probs);
-    }));
+        fan_out(x, probs, k, |x, out| model.predict_proba_k_into(x, out));
+    }))
+    .is_ok();
     // Record before filling any slot: a waiter released by `fill` may
     // read the stats immediately and must already see this batch.
     shared.stats.record_batch(started.elapsed());
-    if scored.is_err() {
-        for req in batch {
-            req.slot.fill(Err(ServeError::Corrupt(
+    let mut at = 0;
+    for unit in batch.drain(..) {
+        let len = unit.x.rows() * k;
+        unit.slot.fill(if scored {
+            Ok(probs[at..at + len].to_vec())
+        } else {
+            Err(ServeError::Corrupt(
                 "model panicked while scoring the batch".into(),
-            )));
-        }
-        return;
-    }
-    for (req, &p) in batch.iter().zip(probs.iter()) {
-        req.slot.fill(Ok(p));
+            ))
+        });
+        at += len;
     }
 }
 
@@ -831,7 +829,6 @@ mod tests {
         let cfg = EngineConfig::builder()
             .queue_capacity(4)
             .max_batch(1)
-            .max_delay(Duration::ZERO)
             .build()
             .unwrap_or_else(|e| panic!("{e}"));
         let e = ScoringEngine::start(Box::new(Slow), 1, cfg).unwrap_or_else(|e| panic!("{e}"));
@@ -1015,7 +1012,6 @@ mod tests {
     fn wait_timeout_returns_deadline_exceeded_then_result_is_discarded() {
         let cfg = EngineConfig::builder()
             .max_batch(1)
-            .max_delay(Duration::ZERO)
             .build()
             .unwrap_or_else(|e| panic!("{e}"));
         let e = ScoringEngine::start(Box::new(Slow), 1, cfg).unwrap_or_else(|e| panic!("{e}"));
@@ -1170,5 +1166,123 @@ mod tests {
             .unwrap_or_else(|err| panic!("{err}"));
         let p = e.submit(&[0.0, 0.0]).unwrap_or_else(|err| panic!("{err}"));
         assert_eq!(p.wait(), Ok(0.6));
+    }
+
+    /// Echoes each row's first feature, but its first call blocks until
+    /// the test releases it — holds the scheduler inside a batch while
+    /// the test queues more units.
+    struct Gated(Mutex<Option<std::sync::mpsc::Receiver<()>>>);
+    impl Model for Gated {
+        fn predict_proba_view(&self, x: MatrixView<'_>) -> Vec<f64> {
+            let gate = self.0.lock().take();
+            if let Some(gate) = gate {
+                let _ = gate.recv();
+            }
+            x.iter_rows().map(|r| r[0]).collect()
+        }
+    }
+
+    #[test]
+    fn coalesced_units_get_back_their_own_rows_in_order() {
+        let max_batch = 64;
+        for threads in [1, 2] {
+            Runtime::with_threads(threads).install(|| {
+                let (release, gate) = std::sync::mpsc::channel();
+                let cfg = EngineConfig::builder()
+                    .max_batch(max_batch)
+                    .queue_capacity(256)
+                    .build()
+                    .unwrap_or_else(|e| panic!("{e}"));
+                let e = ScoringEngine::start(Box::new(Gated(Mutex::new(Some(gate)))), 2, cfg)
+                    .unwrap_or_else(|e| panic!("{e}"));
+                let first = e.submit(&[0.5, 0.0]).unwrap_or_else(|err| panic!("{err}"));
+                // The scheduler has taken the first unit once the queue
+                // is empty again; it is now blocked inside the gate.
+                while e.queue_depth() > 0 {
+                    std::thread::yield_now();
+                }
+                let sizes = [1, 5, 3 * max_batch];
+                let value = |u: usize, i: usize| (u * 1000 + i) as f64 / 1e4;
+                let pending: Vec<_> = sizes
+                    .iter()
+                    .enumerate()
+                    .map(|(u, &rows)| {
+                        let mut x = Matrix::with_capacity(rows, 2);
+                        for i in 0..rows {
+                            x.push_row(&[value(u, i), 1.0]);
+                        }
+                        e.submit_rows(x).unwrap_or_else(|err| panic!("{err}"))
+                    })
+                    .collect();
+                assert_eq!(e.queue_depth(), 1 + 5 + 3 * max_batch);
+                release.send(()).unwrap_or_else(|err| panic!("{err}"));
+                assert_eq!(first.wait(), Ok(0.5));
+                for (u, (p, &rows)) in pending.into_iter().zip(&sizes).enumerate() {
+                    let dist = p.wait().unwrap_or_else(|err| panic!("{err}"));
+                    let want: Vec<f64> = (0..rows)
+                        .flat_map(|i| [1.0 - value(u, i), value(u, i)])
+                        .collect();
+                    assert_eq!(dist, want, "unit {u} under {threads} threads");
+                }
+                let stats = e.stats();
+                assert_eq!(stats.batches, 2, "the three units shared one batch");
+                assert_eq!(stats.requests, (2 + 5 + 3 * max_batch) as u64);
+            });
+        }
+    }
+
+    #[test]
+    fn queue_capacity_is_a_hard_bound_under_concurrent_submits() {
+        let capacity = 16;
+        let cfg = EngineConfig::builder()
+            .max_batch(4)
+            .queue_capacity(capacity)
+            .build()
+            .unwrap_or_else(|e| panic!("{e}"));
+        let e = Arc::new(
+            ScoringEngine::start(Box::new(Slow), 1, cfg).unwrap_or_else(|e| panic!("{e}")),
+        );
+        let submitters = 8;
+        let barrier = Arc::new(std::sync::Barrier::new(submitters));
+        let handles: Vec<_> = (0..submitters)
+            .map(|_| {
+                let (e, barrier) = (Arc::clone(&e), Arc::clone(&barrier));
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    let mut accepted = Vec::new();
+                    for _ in 0..6 {
+                        match e.submit_rows(Matrix::zeros(3, 1)) {
+                            Ok(p) => accepted.push(p),
+                            Err(ServeError::QueueFull { .. }) => {}
+                            Err(other) => panic!("{other}"),
+                        }
+                    }
+                    accepted
+                })
+            })
+            .collect();
+        let accepted: Vec<PendingRows> = handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|_| panic!("submitter panicked")))
+            .collect();
+        assert!(!accepted.is_empty());
+        assert!(accepted.len() < submitters * 6, "the queue never filled");
+        let high_water = e.stats().queue_high_water;
+        assert!(high_water <= capacity, "{high_water} > {capacity}");
+        for p in accepted {
+            assert_eq!(p.wait(), Ok(vec![0.5; 6]));
+        }
+    }
+
+    #[test]
+    fn zero_timeout_always_misses() {
+        let e = engine(Box::new(ConstantModel(0.5)));
+        for _ in 0..50 {
+            let p = e.submit(&[0.0, 0.0]).unwrap_or_else(|err| panic!("{err}"));
+            assert_eq!(
+                p.wait_timeout(Duration::ZERO),
+                Err(ServeError::DeadlineExceeded)
+            );
+        }
     }
 }

@@ -106,6 +106,8 @@ pub enum ServeError {
     },
     /// No model registered under the requested name.
     UnknownModel(String),
+    /// A scoring request's body is not CSV rows of numbers.
+    BadRequest(String),
 }
 
 impl fmt::Display for ServeError {
@@ -164,6 +166,7 @@ impl fmt::Display for ServeError {
                 )
             }
             ServeError::UnknownModel(name) => write!(f, "no model registered as {name:?}"),
+            ServeError::BadRequest(msg) => write!(f, "{msg}"),
         }
     }
 }
@@ -238,5 +241,9 @@ mod tests {
         assert!(ServeError::UnknownModel("fraud".into())
             .to_string()
             .contains("fraud"));
+        assert_eq!(
+            ServeError::BadRequest("line 2: not a CSV row of numbers".into()).to_string(),
+            "line 2: not a CSV row of numbers"
+        );
     }
 }

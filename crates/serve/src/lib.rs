@@ -9,11 +9,12 @@
 //!   verify the checksum *before* decoding and report corruption,
 //!   truncation, version skew and kind mismatches as distinct
 //!   [`ServeError`] variants.
-//! - [`engine`] — a micro-batching [`ScoringEngine`]: callers submit
-//!   single rows, a scheduler thread coalesces them into batches
-//!   (flushing on size or delay) and scores them through the shared
-//!   `spe-runtime` pool. The served model sits behind a hot-swap
-//!   registry slot so retrained models roll out with zero downtime.
+//! - [`engine`] — a batching [`ScoringEngine`]: callers submit each
+//!   request's rows as one queue unit, and a work-conserving scheduler
+//!   thread coalesces the units waiting at each wake-up into one batch
+//!   scored through the shared `spe-runtime` pool. The served model
+//!   sits behind a hot-swap registry slot so retrained models roll out
+//!   with zero downtime.
 //! - [`quantize`] — a u8-quantized tree kernel. Tree-shaped snapshots
 //!   (DT, GBDT, SPE, soft-vote) compile into flat node arrays whose
 //!   split thresholds are bin codes against a serving-side cut grid;
@@ -43,7 +44,8 @@ pub mod error;
 pub mod quantize;
 
 pub use engine::{
-    EngineConfig, EngineConfigBuilder, PendingScore, ScoreBackend, ScoringEngine, ServeStats,
+    scalar_score, EngineConfig, EngineConfigBuilder, PendingRows, PendingScore, ScoreBackend,
+    ScoringEngine, ServeStats,
 };
 pub use envelope::{
     fnv1a, load_envelope, load_model, load_model_expecting, load_spe, save_model, save_snapshot,

@@ -1,12 +1,12 @@
 //! Queue-depth admission control.
 //!
 //! The scoring engine already backpressures at `queue_capacity`, but by
-//! the time a submit fails the request has crossed the network, parsed
-//! its body and possibly enqueued part of a batch. The admission gate
-//! sheds earlier and cheaper: a request is rejected up front — before
-//! any row is submitted — when the queue is past a *watermark* set
-//! below capacity, so the engine keeps headroom for the requests
-//! already past the gate and a shed request costs one queue-depth read.
+//! the time a submit fails the request has crossed the network and
+//! parsed its body. The admission gate sheds earlier and cheaper: a
+//! request is rejected up front — on its line count, before its body
+//! is parsed — when the queue is past a *watermark* set below capacity,
+//! so the engine keeps headroom for the requests already past the gate
+//! and a shed request costs one queue-depth read.
 //!
 //! Shed responses carry a `Retry-After` hint derived from the engine's
 //! own batch-latency estimate: the queued work, in batches, times the

@@ -4,22 +4,23 @@
 //! ```sh
 //! spe_server serve --features 30 --model fraud=fraud.spe
 //!                  [--addr 127.0.0.1:8080] [--workers 4]
-//!                  [--queue-capacity 1024] [--max-batch 64] [--max-delay-ms 2]
+//!                  [--queue-capacity 1024] [--max-batch 64]
 //!                  [--watermark 0.9] [--breaker-threshold 5]
 //!                  [--breaker-cooldown-ms 1000] [--port-file addr.txt]
 //! spe_server gate  --model model.spe --data data.csv
 //! spe_server online-gate
 //! ```
 //!
-//! `serve` runs until a client POSTs `/admin/shutdown`. `gate` is the
-//! ci.sh acceptance sequence: it starts a tightly-provisioned server
-//! in-process, drives it over real TCP through the bundled client, and
-//! asserts the full failure-mode contract — score round-trip against
-//! local predictions, 429 shedding under a 2x-capacity burst (then
-//! immediate recovery), deadline misses as 504, a wedged model
-//! tripping its breaker (503 + isolation of the healthy model +
-//! self-heal + half-open recovery), shadow attach/compare/promote, and
-//! a clean shutdown.
+//! A flag the chosen subcommand does not read is rejected with the
+//! usage text. `serve` runs until a client POSTs `/admin/shutdown`.
+//! `gate` is the ci.sh acceptance sequence: it starts a
+//! tightly-provisioned server in-process, drives it over real TCP
+//! through the bundled client, and asserts the full failure-mode
+//! contract — score round-trip against local predictions, 429 shedding
+//! under a 2x-capacity burst (then immediate recovery), deadline misses
+//! as 504, a wedged model tripping its breaker (503 + isolation of the
+//! healthy model + self-heal + half-open recovery), shadow
+//! attach/compare/promote, and a clean shutdown.
 //!
 //! `online-gate` is the self-contained drift-recovery smoke: it trains
 //! an SPE on a checkerboard concept, serves it, enables the online
@@ -40,11 +41,27 @@ use std::time::{Duration, Instant};
 const USAGE: &str = "usage:
   spe_server serve --features N --model <name>=<model.spe> [--model ...]
                    [--addr HOST:PORT] [--workers N] [--queue-capacity N]
-                   [--max-batch N] [--max-delay-ms N] [--watermark F]
+                   [--max-batch N] [--watermark F]
                    [--breaker-threshold N] [--breaker-cooldown-ms N]
                    [--shadow-capacity N] [--port-file PATH]
   spe_server gate  --model <model.spe> --data <data.csv>
   spe_server online-gate";
+
+/// The flags each subcommand reads.
+const SERVE_FLAGS: &[&str] = &[
+    "features",
+    "model",
+    "addr",
+    "workers",
+    "queue-capacity",
+    "max-batch",
+    "watermark",
+    "breaker-threshold",
+    "breaker-cooldown-ms",
+    "shadow-capacity",
+    "port-file",
+];
+const GATE_FLAGS: &[&str] = &["model", "data"];
 
 /// `--flag value` parser that keeps repeats (for `--model`).
 struct Flags {
@@ -52,13 +69,18 @@ struct Flags {
 }
 
 impl Flags {
-    fn parse(argv: &[String]) -> Result<Self, String> {
+    /// Parses `argv`, rejecting any flag not in `known`: a typo or a
+    /// retired flag must fail loudly, not run with defaults.
+    fn parse(argv: &[String], known: &[&str]) -> Result<Self, String> {
         let mut pairs = Vec::new();
         let mut it = argv.iter();
         while let Some(flag) = it.next() {
             let name = flag
                 .strip_prefix("--")
                 .ok_or_else(|| format!("expected a --flag, got {flag:?}"))?;
+            if !known.contains(&name) {
+                return Err(format!("unknown flag --{name}"));
+            }
             let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
             pairs.push((name.to_string(), value.clone()));
         }
@@ -98,7 +120,6 @@ impl Flags {
 fn config_from_flags(flags: &Flags, n_features: usize) -> Result<RegistryConfig, String> {
     let engine = EngineConfig::builder()
         .max_batch(flags.parse_or("max-batch", 64)?)
-        .max_delay(Duration::from_millis(flags.parse_or("max-delay-ms", 2)?))
         .queue_capacity(flags.parse_or("queue-capacity", 1024)?)
         .backend(ScoreBackend::Auto)
         .build()
@@ -247,7 +268,6 @@ fn cmd_gate(flags: &Flags) -> Result<(), String> {
     let mut config = RegistryConfig::new(x.cols());
     config.engine = EngineConfig::builder()
         .max_batch(16)
-        .max_delay(Duration::from_millis(1))
         .queue_capacity(GATE_QUEUE)
         .build()
         .map_err(|e| e.to_string())?;
@@ -626,7 +646,16 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let flags = match Flags::parse(&argv[1..]) {
+    let known: &[&str] = match cmd.as_str() {
+        "serve" => SERVE_FLAGS,
+        "gate" => GATE_FLAGS,
+        "online-gate" => &[],
+        other => {
+            eprintln!("spe_server: unknown subcommand {other:?}\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let flags = match Flags::parse(&argv[1..], known) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("spe_server: {e}\n{USAGE}");
@@ -636,8 +665,7 @@ fn main() -> ExitCode {
     let result = match cmd.as_str() {
         "serve" => cmd_serve(&flags),
         "gate" => cmd_gate(&flags),
-        "online-gate" => cmd_online_gate(),
-        other => Err(format!("unknown subcommand {other:?}\n{USAGE}")),
+        _ => cmd_online_gate(),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -645,5 +673,38 @@ fn main() -> ExitCode {
             eprintln!("spe_server: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn flags_the_subcommand_does_not_read_are_rejected() {
+        let serve = Flags::parse(
+            &argv("--features 3 --model a=a.spe --model b=b.spe"),
+            SERVE_FLAGS,
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(serve.all("model"), ["a=a.spe", "b=b.spe"]);
+        for (line, known) in [
+            ("--features 3 --max-delay-ms 2", SERVE_FLAGS),
+            ("--features 3 --queue-capacty 8", SERVE_FLAGS),
+            ("--model m.spe --data d.csv --features 3", GATE_FLAGS),
+            ("--model m.spe", &[][..]),
+        ] {
+            let err = Flags::parse(&argv(line), known).err();
+            assert!(
+                err.as_deref()
+                    .is_some_and(|e| e.starts_with("unknown flag --")),
+                "{line:?}: {err:?}"
+            );
+        }
+        assert!(Flags::parse(&argv("--model m.spe --data d.csv"), GATE_FLAGS).is_ok());
     }
 }

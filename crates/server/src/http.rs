@@ -34,7 +34,7 @@ use crate::shadow::DivergenceStats;
 use httpd::{Request, Response};
 use spe_data::Matrix;
 use spe_online::{OnlineConfig, OnlineStatus};
-use spe_serve::ServeError;
+use spe_serve::{scalar_score, ServeError};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -124,8 +124,9 @@ pub fn handle(registry: &ModelRegistry, shutdown: &AtomicBool, req: &Request) ->
     }
 }
 
-/// `POST /score/{model}`: parse rows + deadline, run the entry's full
-/// admission/breaker/deadline gauntlet, render scores or the mapped
+/// `POST /score/{model}`: read the deadline, count the body's rows, run
+/// the entry's breaker/admission/deadline gauntlet — parsing the rows
+/// only once the request is admitted — and render scores or the mapped
 /// failure.
 ///
 /// Binary models answer `{"scores":[...]}` exactly as they always
@@ -141,50 +142,47 @@ fn score(registry: &ModelRegistry, name: &str, req: &Request) -> Response {
         Ok(t) => t,
         Err(resp) => return resp,
     };
-    let rows = match parse_rows(&req.body_str()) {
-        Ok(r) => r,
-        Err(msg) => return Response::json(400, format!("{{\"error\":{}}}", json_string(&msg))),
+    let n_rows = lines(&req.body).count();
+    if n_rows == 0 {
+        return error_json(
+            400,
+            &ServeError::BadRequest("request body holds no rows".into()),
+        );
+    }
+    let width = registry.n_features();
+    let dist = match entry.score_flat(n_rows, timeout, || parse_rows(&req.body, width, n_rows)) {
+        Ok(dist) => dist,
+        Err(e) => return score_error(&entry, &e),
     };
     let k = entry.engine().n_classes();
-    if k > 2 {
-        return match entry.score_classes(&rows) {
-            Ok(dist) => {
-                let mut body = String::with_capacity(32 + dist.len() * 8);
-                body.push_str(&format!("{{\"n_classes\":{k},\"classes\":["));
-                for (i, row) in dist.chunks(k).enumerate() {
-                    if i > 0 {
-                        body.push(',');
-                    }
-                    body.push('[');
-                    for (j, p) in row.iter().enumerate() {
-                        if j > 0 {
-                            body.push(',');
-                        }
-                        body.push_str(&json_f64(*p));
-                    }
-                    body.push(']');
-                }
-                body.push_str("]}");
-                Response::json(200, body)
+    let mut body = String::with_capacity(32 + dist.len() * 8);
+    if k == 2 {
+        body.push_str("{\"scores\":[");
+        for (i, row) in dist.chunks_exact(2).enumerate() {
+            if i > 0 {
+                body.push(',');
             }
-            Err(e) => score_error(&entry, &e),
-        };
-    }
-    match entry.score(&rows, timeout) {
-        Ok(scores) => {
-            let mut body = String::with_capacity(16 + scores.len() * 8);
-            body.push_str("{\"scores\":[");
-            for (i, s) in scores.iter().enumerate() {
-                if i > 0 {
+            body.push_str(&json_f64(scalar_score(row)));
+        }
+        body.push_str("]}");
+    } else {
+        body.push_str(&format!("{{\"n_classes\":{k},\"classes\":["));
+        for (i, row) in dist.chunks_exact(k).enumerate() {
+            if i > 0 {
+                body.push(',');
+            }
+            body.push('[');
+            for (j, p) in row.iter().enumerate() {
+                if j > 0 {
                     body.push(',');
                 }
-                body.push_str(&json_f64(*s));
+                body.push_str(&json_f64(*p));
             }
-            body.push_str("]}");
-            Response::json(200, body)
+            body.push(']');
         }
-        Err(e) => score_error(&entry, &e),
+        body.push_str("]}");
     }
+    Response::json(200, body)
 }
 
 /// `POST /models/{name}/feedback`: labeled CSV rows — each line is the
@@ -195,33 +193,38 @@ fn feedback(registry: &ModelRegistry, name: &str, req: &Request) -> Response {
         Ok(e) => e,
         Err(e) => return manage_error(&e),
     };
-    let rows = match parse_rows(&req.body_str()) {
-        Ok(r) => r,
-        Err(msg) => return Response::json(400, format!("{{\"error\":{}}}", json_string(&msg))),
-    };
     let width = registry.n_features();
-    let mut flat = Vec::with_capacity(rows.len() * width);
-    let mut labels = Vec::with_capacity(rows.len());
-    for (i, row) in rows.iter().enumerate() {
-        if row.len() != width + 1 {
-            let msg = format!(
-                "line {}: feedback rows want {width} features plus a trailing 0/1 label, got {} fields",
-                i + 1,
-                row.len()
-            );
-            return Response::json(400, format!("{{\"error\":{}}}", json_string(&msg)));
+    let rows = match parse_rows(&req.body, width + 1, 0) {
+        Ok(rows) if rows.rows() > 0 => rows,
+        Ok(_) => {
+            return error_json(
+                400,
+                &ServeError::BadRequest("request body holds no rows".into()),
+            )
         }
+        Err(ServeError::RowWidthMismatch { got, .. }) => {
+            let msg = format!(
+                "feedback rows want {width} features plus a trailing 0/1 label, got {got} fields"
+            );
+            return error_json(400, &ServeError::BadRequest(msg));
+        }
+        Err(e) => return error_json(400, &e),
+    };
+    let n_rows = rows.rows();
+    let mut flat = Vec::with_capacity(n_rows * width);
+    let mut labels = Vec::with_capacity(n_rows);
+    for (i, row) in rows.iter_rows().enumerate() {
         let label = row[width];
         if label != 0.0 && label != 1.0 {
-            let msg = format!("line {}: trailing label must be 0 or 1, got {label}", i + 1);
-            return Response::json(400, format!("{{\"error\":{}}}", json_string(&msg)));
+            let msg = format!("row {}: trailing label must be 0 or 1, got {label}", i + 1);
+            return error_json(400, &ServeError::BadRequest(msg));
         }
         labels.push(label as u8);
         flat.extend_from_slice(&row[..width]);
     }
-    let x = Matrix::from_vec(rows.len(), width, flat);
+    let x = Matrix::from_vec(n_rows, width, flat);
     match entry.ingest_feedback(x, labels) {
-        Ok(()) => Response::json(200, format!("{{\"ingested\":{}}}", rows.len())),
+        Ok(()) => Response::json(200, format!("{{\"ingested\":{n_rows}}}")),
         Err(e) => manage_error(&e),
     }
 }
@@ -255,24 +258,42 @@ fn parse_timeout(req: &Request) -> Result<Duration, Response> {
     }
 }
 
-/// One CSV row of features per line; blank lines skipped.
-fn parse_rows(body: &str) -> Result<Vec<Vec<f64>>, String> {
-    let mut rows = Vec::new();
-    for (lineno, line) in body.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
+/// The body's non-blank lines, with their 1-based line numbers.
+fn lines(body: &[u8]) -> impl Iterator<Item = (usize, &[u8])> {
+    body.split(|&b| b == b'\n')
+        .map(<[u8]>::trim_ascii)
+        .enumerate()
+        .filter(|(_, line)| !line.is_empty())
+        .map(|(i, line)| (i + 1, line))
+}
+
+/// Parses CSV lines of `width` numbers each straight into one row-major
+/// block, checking every row's width before parsing it. `rows_hint`
+/// sizes the block up front, so callers pass only a row count that
+/// admission has already bounded.
+fn parse_rows(body: &[u8], width: usize, rows_hint: usize) -> Result<Matrix, ServeError> {
+    let mut flat = Vec::with_capacity(rows_hint * width);
+    let mut rows = 0;
+    for (lineno, line) in lines(body) {
+        let got = line.iter().filter(|&&b| b == b',').count() + 1;
+        if got != width {
+            return Err(ServeError::RowWidthMismatch {
+                expected: width,
+                got,
+            });
         }
-        let row: Result<Vec<f64>, _> = line.split(',').map(|f| f.trim().parse::<f64>()).collect();
-        match row {
-            Ok(r) => rows.push(r),
-            Err(_) => return Err(format!("line {}: not a CSV row of numbers", lineno + 1)),
+        for field in line.split(|&b| b == b',') {
+            let value = std::str::from_utf8(field)
+                .ok()
+                .and_then(|f| f.trim().parse::<f64>().ok())
+                .ok_or_else(|| {
+                    ServeError::BadRequest(format!("line {lineno}: not a CSV row of numbers"))
+                })?;
+            flat.push(value);
         }
+        rows += 1;
     }
-    if rows.is_empty() {
-        return Err("request body holds no rows".into());
-    }
-    Ok(rows)
+    Ok(Matrix::from_vec(rows, width, flat))
 }
 
 /// Scoring-path failure mapping; `entry` supplies the shed retry hint.
@@ -292,9 +313,9 @@ fn score_error(entry: &Arc<ModelEntry>, e: &ServeError) -> Response {
             .with_header("x-retry-after-ms", &retry_after_ms.to_string()),
         ServeError::DeadlineExceeded => error_json(504, e),
         ServeError::UnknownModel(_) => error_json(404, e),
-        ServeError::RowWidthMismatch { .. } | ServeError::OutputLengthMismatch { .. } => {
-            error_json(400, e)
-        }
+        ServeError::RowWidthMismatch { .. }
+        | ServeError::OutputLengthMismatch { .. }
+        | ServeError::BadRequest(_) => error_json(400, e),
         ServeError::Shutdown | ServeError::EngineStopped => error_json(503, e),
         // Corrupt (model panicked) and anything else unexpected is a
         // server-side fault.
@@ -472,7 +493,6 @@ mod tests {
         config.engine = EngineConfig::builder()
             .max_batch(4)
             .queue_capacity(8)
-            .max_delay(Duration::from_millis(1))
             .build()
             .unwrap_or_else(|e| panic!("{e}"));
         let reg = ModelRegistry::new(config);
@@ -554,6 +574,63 @@ mod tests {
         assert!(shed.header("retry-after").is_some());
         assert!(shed.header("x-retry-after-ms").is_some());
         // The server survives and keeps scoring.
+        let ok = handle(&reg, &stop, &request("POST", "/score/m", &[], "0,0\n"));
+        assert_eq!(ok.status, 200);
+    }
+
+    #[test]
+    fn shed_runs_before_parse() {
+        let reg = registry();
+        let stop = AtomicBool::new(false);
+        // Eight unparseable lines are over the 7-row watermark: the gate
+        // answers before any line is parsed.
+        let body = "not,numbers\n".repeat(8);
+        let shed = handle(&reg, &stop, &request("POST", "/score/m", &[], &body));
+        assert_eq!(shed.status, 429, "{}", shed.body_str());
+        assert!(shed.header("retry-after").is_some());
+        // Under the watermark the same lines are a client error.
+        let bad = handle(&reg, &stop, &request("POST", "/score/m", &[], "a,b\n"));
+        assert_eq!(bad.status, 400);
+        assert_eq!(
+            bad.body_str(),
+            "{\"error\":\"line 1: not a CSV row of numbers\"}"
+        );
+    }
+
+    /// Scores after a 30 ms stall: every short deadline misses.
+    struct Wedged;
+    impl spe_learners::Model for Wedged {
+        fn predict_proba_view(&self, x: spe_data::MatrixView<'_>) -> Vec<f64> {
+            std::thread::sleep(Duration::from_millis(30));
+            vec![0.5; x.rows()]
+        }
+    }
+
+    #[test]
+    fn wedged_multiclass_model_misses_deadlines_and_trips_its_breaker() {
+        let reg = registry();
+        reg.register_model(
+            "mc",
+            Box::new(spe_learners::OneVsRestModel::new(vec![
+                Box::new(Wedged),
+                Box::new(Wedged),
+                Box::new(Wedged),
+            ])),
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
+        let stop = AtomicBool::new(false);
+        let short = [("X-Timeout-Ms", "5")];
+        // The default breaker opens after five consecutive misses.
+        for _ in 0..5 {
+            let miss = handle(&reg, &stop, &request("POST", "/score/mc", &short, "0,0\n"));
+            assert_eq!(miss.status, 504, "{}", miss.body_str());
+        }
+        let open = handle(&reg, &stop, &request("POST", "/score/mc", &short, "0,0\n"));
+        assert_eq!(open.status, 503, "{}", open.body_str());
+        let snap = reg.get("mc").unwrap_or_else(|e| panic!("{e}")).snapshot();
+        assert_eq!(snap.deadline_misses, 5);
+        assert_eq!(snap.breaker_trips, 1);
+        // The binary model beside it keeps serving.
         let ok = handle(&reg, &stop, &request("POST", "/score/m", &[], "0,0\n"));
         assert_eq!(ok.status, 200);
     }

@@ -20,17 +20,20 @@
 
 use crate::admission::{retry_after_ms, Admission};
 use crate::breaker::{BreakerConfig, CircuitBreaker};
+use crate::http::DEFAULT_TIMEOUT_MS;
 use crate::shadow::{DivergenceStats, ShadowScorer};
 use parking_lot::{Mutex, RwLock};
 use spe_data::{Matrix, MatrixView};
 use spe_learners::Model;
 use spe_online::{LiveModel, OnlineConfig, OnlineStatus, RetrainLoop};
-use spe_serve::{load_model, save_model, EngineConfig, ScoringEngine, ServeError, ServeStats};
+use spe_serve::{
+    load_model, save_model, scalar_score, EngineConfig, ScoringEngine, ServeError, ServeStats,
+};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Registry-wide serving configuration; every entry gets its own
 /// engine/breaker/gate built from these.
@@ -137,20 +140,28 @@ impl ModelEntry {
         })
     }
 
-    /// Scores a batch of rows with a request-wide deadline.
+    /// Scores one request of `n_rows` rows with a request-wide deadline,
+    /// answering row-major `[rows × n_classes]` distributions.
     ///
-    /// The full gauntlet, in order: breaker gate, admission watermark,
-    /// per-row submit, deadline-bounded waits. On success the rows are
+    /// The full gauntlet, in order: breaker gate and admission watermark
+    /// on the row count — before `parse` builds the rows, so a shed
+    /// request costs no parsing — then one queue unit with one
+    /// deadline-bounded wait. On success a binary model's rows are
     /// mirrored to the shadow candidate (if any). Deadline misses and
     /// scoring failures feed the breaker; shed load and client errors
-    /// (bad row width) do not.
-    pub fn score(
+    /// (rows that do not parse or have the wrong width) do not.
+    pub fn score_flat(
         self: &Arc<Self>,
-        rows: &[Vec<f64>],
+        n_rows: usize,
         timeout: Duration,
+        parse: impl FnOnce() -> Result<Matrix, ServeError>,
     ) -> Result<Vec<f64>, ServeError> {
         self.breaker.admit()?;
-        let outcome = self.score_admitted(rows, timeout);
+        let outcome = self
+            .admission
+            .check(self.engine.queue_depth(), n_rows)
+            .and_then(|()| parse())
+            .and_then(|x| self.score_admitted(x, timeout));
         match &outcome {
             Ok(_) => {
                 self.breaker.record(true);
@@ -175,68 +186,29 @@ impl ModelEntry {
         outcome
     }
 
-    fn score_admitted(&self, rows: &[Vec<f64>], timeout: Duration) -> Result<Vec<f64>, ServeError> {
-        self.admission
-            .check(self.engine.queue_depth(), rows.len())?;
-        let deadline = Instant::now() + timeout;
-        let mut pending = Vec::with_capacity(rows.len());
-        for row in rows {
-            match self.engine.submit(row) {
-                Ok(p) => pending.push(p),
-                Err(e) => {
-                    if matches!(e, ServeError::QueueFull { .. }) {
-                        // Raced past the watermark; counts as shed.
-                        self.admission.note_shed();
-                    }
-                    // Abandoned waiters resolve internally; their slots
-                    // just drop.
-                    return Err(e);
-                }
-            }
-        }
-        let mut out = Vec::with_capacity(pending.len());
-        for p in pending {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            out.push(p.wait_timeout(remaining)?);
-        }
-        if let Some(shadow) = self.shadow.lock().as_ref() {
-            for (row, &live) in rows.iter().zip(&out) {
-                shadow.offer(row, live);
-            }
-        }
-        self.scored.fetch_add(out.len() as u64, Ordering::Relaxed);
-        Ok(out)
+    /// [`score_flat`](Self::score_flat) over borrowed rows, answering
+    /// one scalar score per row.
+    pub fn score(
+        self: &Arc<Self>,
+        rows: &[Vec<f64>],
+        timeout: Duration,
+    ) -> Result<Vec<f64>, ServeError> {
+        let dist = self.score_flat(rows.len(), timeout, || self.gather(rows))?;
+        Ok(dist
+            .chunks_exact(self.engine.n_classes())
+            .map(scalar_score)
+            .collect())
     }
 
-    /// K-wide twin of [`score`](ModelEntry::score): the same breaker and
-    /// admission gauntlet, but rows are scored synchronously through the
-    /// engine's direct path into row-major `[rows × n_classes]`
-    /// distributions (full distributions do not flow through the scalar
-    /// batching queue, so no per-row deadline applies). Shadow mirrors
-    /// compare scalar scores only and are skipped here.
+    /// [`score_flat`](Self::score_flat) over borrowed rows under the
+    /// HTTP default deadline, answering full distributions.
     pub fn score_classes(self: &Arc<Self>, rows: &[Vec<f64>]) -> Result<Vec<f64>, ServeError> {
-        self.breaker.admit()?;
-        let outcome = self.score_classes_admitted(rows);
-        match &outcome {
-            Ok(_) => {
-                self.breaker.record(true);
-            }
-            Err(e) => match e {
-                ServeError::Corrupt(_) | ServeError::Shutdown | ServeError::EngineStopped => {
-                    self.scoring_failures.fetch_add(1, Ordering::Relaxed);
-                    self.note_failure();
-                }
-                _ => {
-                    self.breaker.record(true);
-                }
-            },
-        }
-        outcome
+        let timeout = Duration::from_millis(DEFAULT_TIMEOUT_MS);
+        self.score_flat(rows.len(), timeout, || self.gather(rows))
     }
 
-    fn score_classes_admitted(&self, rows: &[Vec<f64>]) -> Result<Vec<f64>, ServeError> {
-        self.admission
-            .check(self.engine.queue_depth(), rows.len())?;
+    /// Copies borrowed rows into one block, vetting each row's width.
+    fn gather(&self, rows: &[Vec<f64>]) -> Result<Matrix, ServeError> {
         let width = self.engine.n_features();
         let mut flat = Vec::with_capacity(rows.len() * width);
         for row in rows {
@@ -248,11 +220,30 @@ impl ModelEntry {
             }
             flat.extend_from_slice(row);
         }
-        let mut out = vec![0.0; rows.len() * self.engine.n_classes()];
-        self.engine
-            .score_classes_into(MatrixView::from_slice(&flat, rows.len(), width), &mut out)?;
-        self.scored.fetch_add(rows.len() as u64, Ordering::Relaxed);
-        Ok(out)
+        Ok(Matrix::from_vec(rows.len(), width, flat))
+    }
+
+    fn score_admitted(&self, x: Matrix, timeout: Duration) -> Result<Vec<f64>, ServeError> {
+        let rows = x.rows();
+        // Shadow comparisons are scalar, so only binary rows are kept
+        // for the mirror, and only while a candidate is attached.
+        let mirror =
+            (self.engine.n_classes() == 2 && self.shadow.lock().is_some()).then(|| x.clone());
+        let pending = self.engine.submit_rows(x).inspect_err(|e| {
+            if matches!(e, ServeError::QueueFull { .. }) {
+                // Raced past the watermark; counts as shed.
+                self.admission.note_shed();
+            }
+        })?;
+        // An abandoned unit is still scored; its slot just drops.
+        let dist = pending.wait_timeout(timeout)?;
+        if let (Some(x), Some(shadow)) = (mirror, self.shadow.lock().as_ref()) {
+            for (row, dist) in x.iter_rows().zip(dist.chunks_exact(2)) {
+                shadow.offer(row, scalar_score(dist));
+            }
+        }
+        self.scored.fetch_add(rows as u64, Ordering::Relaxed);
+        Ok(dist)
     }
 
     /// Feeds a failure to the breaker; a trip kicks off self-healing.
@@ -590,13 +581,13 @@ mod tests {
     use spe_data::MatrixView;
     use spe_learners::traits::ConstantModel;
     use spe_serve::save_model;
+    use std::time::Instant;
 
     fn tight_config() -> RegistryConfig {
         let mut config = RegistryConfig::new(2);
         config.engine = EngineConfig::builder()
             .max_batch(4)
             .queue_capacity(8)
-            .max_delay(Duration::from_millis(1))
             .build()
             .unwrap_or_else(|e| panic!("{e}"));
         config.breaker = BreakerConfig {

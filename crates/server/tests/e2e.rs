@@ -31,7 +31,6 @@ fn tight_config(n_features: usize) -> RegistryConfig {
     let mut config = RegistryConfig::new(n_features);
     config.engine = EngineConfig::builder()
         .max_batch(16)
-        .max_delay(Duration::from_millis(1))
         .queue_capacity(64)
         .build()
         .unwrap_or_else(|e| panic!("{e}"));
