@@ -153,13 +153,13 @@ pub fn peak_rss_bytes() -> u64 {
 }
 
 /// Merges `"key": section` into the top-level object of a benchmark
-/// JSON file, replacing any existing entry for `key` (so re-running a
-/// section-producing bench is idempotent) and creating the file if it
-/// does not exist. `section` must itself be a JSON value.
+/// JSON file, replacing any existing top-level entry for `key` (so
+/// re-running a section-producing bench is idempotent) and creating the
+/// file if it does not exist. `section` must itself be a JSON value.
 ///
 /// This is string surgery, not a JSON parser: it assumes the file is
-/// the object our benches write (brace-free strings, `key` unique in
-/// the document).
+/// one object whose keys are plain strings, like the ones our benches
+/// write. A key of the same name inside a nested section is left alone.
 pub fn merge_bench_section(
     path: &std::path::Path,
     key: &str,
@@ -179,41 +179,110 @@ pub fn merge_bench_section(
     std::fs::write(path, json)
 }
 
-/// Removes `"key": <value>` (object or scalar) plus its separating
-/// comma from a JSON document. Returns the input unchanged when the
-/// key is absent.
+/// Every key of the top-level object of `json`, in document order, with
+/// the byte offset of its opening quote. Keys of nested objects and
+/// strings that happen to contain `"name":` are skipped.
+fn top_level_keys(json: &str) -> Vec<(usize, &str)> {
+    let b = json.as_bytes();
+    let mut keys = Vec::new();
+    let mut depth = 0usize;
+    let mut i = 0;
+    while i < b.len() {
+        match b[i] {
+            b'"' => {
+                let end = string_end(b, i);
+                if depth == 1 && next_non_space(b, end) == Some(b':') {
+                    keys.push((i, &json[i + 1..end - 1]));
+                }
+                i = end;
+                continue;
+            }
+            b'{' | b'[' => depth += 1,
+            b'}' | b']' => depth = depth.saturating_sub(1),
+            _ => {}
+        }
+        i += 1;
+    }
+    keys
+}
+
+/// Top-level keys that occur more than once in `json`, each named once,
+/// in order of first repeat. A benchmark ledger must have none.
+pub fn duplicate_top_level_keys(json: &str) -> Vec<String> {
+    let mut seen = std::collections::HashSet::new();
+    let mut dups: Vec<String> = Vec::new();
+    for (_, key) in top_level_keys(json) {
+        if !seen.insert(key) && !dups.iter().any(|d| d == key) {
+            dups.push(key.to_string());
+        }
+    }
+    dups
+}
+
+/// Offset just past the string whose opening quote is at `open`.
+fn string_end(b: &[u8], open: usize) -> usize {
+    let mut i = open + 1;
+    while i < b.len() {
+        match b[i] {
+            b'\\' => i += 2,
+            b'"' => return i + 1,
+            _ => i += 1,
+        }
+    }
+    b.len()
+}
+
+fn next_non_space(b: &[u8], from: usize) -> Option<u8> {
+    b[from.min(b.len())..]
+        .iter()
+        .copied()
+        .find(|c| !c.is_ascii_whitespace())
+}
+
+/// Offset just past the JSON value that starts at or after `i`: a
+/// whole object, array or string, or a scalar up to the next `,`, `}`
+/// or newline.
+fn value_end(b: &[u8], mut i: usize) -> usize {
+    while i < b.len() && b[i].is_ascii_whitespace() {
+        i += 1;
+    }
+    let mut depth = 0usize;
+    while i < b.len() {
+        match b[i] {
+            b'"' => {
+                i = string_end(b, i);
+                if depth == 0 {
+                    return i;
+                }
+                continue;
+            }
+            b'{' | b'[' => depth += 1,
+            b'}' | b']' if depth > 0 => {
+                depth -= 1;
+                if depth == 0 {
+                    return i + 1;
+                }
+            }
+            b',' | b'}' | b']' | b'\n' if depth == 0 => return i,
+            _ => {}
+        }
+        i += 1;
+    }
+    i
+}
+
+/// Removes the top-level `"key": <value>` plus its separating comma
+/// from a JSON document. Returns the input unchanged when the top-level
+/// object has no such key.
 fn remove_json_key(json: &str, key: &str) -> String {
-    let needle = format!("\"{key}\":");
-    let Some(start) = json.find(&needle) else {
+    let Some(&(start, _)) = top_level_keys(json).iter().find(|(_, k)| *k == key) else {
         return json.to_string();
     };
     let bytes = json.as_bytes();
-    let mut i = start + needle.len();
-    while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-        i += 1;
-    }
-    let mut end = i;
-    if end < bytes.len() && bytes[end] == b'{' {
-        let mut depth = 0usize;
-        while end < bytes.len() {
-            match bytes[end] {
-                b'{' => depth += 1,
-                b'}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        end += 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            end += 1;
-        }
-    } else {
-        while end < bytes.len() && !matches!(bytes[end], b',' | b'}' | b'\n') {
-            end += 1;
-        }
-    }
+    // Past the key's closing quote, its colon and the value.
+    let colon = start + key.len() + 2;
+    let colon = colon + bytes[colon..].iter().position(|&c| c == b':').unwrap_or(0);
+    let mut end = value_end(bytes, colon + 1);
     // Take the comma that separated this entry from its neighbour:
     // the trailing one if the entry wasn't last, else the leading one.
     let mut head_cut = start;
@@ -488,6 +557,52 @@ mod tests {
             );
         }
         assert_eq!(remove_json_key(doc, "missing"), doc);
+    }
+
+    #[test]
+    fn remove_json_key_skips_nested_keys_of_the_same_name() {
+        // The nested `"rss"` (and the string mentioning it) come first in
+        // the document; only the top-level entry may go.
+        let doc = "{\n  \"inner\": {\n    \"rss\": 1,\n    \"note\": \"\\\"rss\\\": x\"\n  },\n  \"list\": [{\"rss\": 2}, 3],\n  \"rss\": 4\n}\n";
+        let out = remove_json_key(doc, "rss");
+        assert_eq!(
+            out,
+            "{\n  \"inner\": {\n    \"rss\": 1,\n    \"note\": \"\\\"rss\\\": x\"\n  },\n  \"list\": [{\"rss\": 2}, 3]\n}\n"
+        );
+        assert_eq!(remove_json_key(&out, "rss"), out);
+        // A top-level array value goes whole.
+        assert_eq!(
+            remove_json_key(doc, "list"),
+            "{\n  \"inner\": {\n    \"rss\": 1,\n    \"note\": \"\\\"rss\\\": x\"\n  },\n  \"rss\": 4\n}\n"
+        );
+    }
+
+    #[test]
+    fn merging_a_key_a_nested_section_also_holds_keeps_both() {
+        let dir = std::env::temp_dir().join(format!("spe-merge-nested-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bench.json");
+        merge_bench_section(&path, "oocore", "{\n    \"peak_rss_bytes\": 7\n  }").unwrap();
+        merge_bench_section(&path, "peak_rss_bytes", "5").unwrap();
+        merge_bench_section(&path, "peak_rss_bytes", "6").unwrap();
+        let t = std::fs::read_to_string(&path).unwrap();
+        assert!(
+            t.contains("\"peak_rss_bytes\": 7"),
+            "nested entry lost: {t}"
+        );
+        assert!(
+            t.contains("\"peak_rss_bytes\": 6") && !t.contains(": 5"),
+            "{t}"
+        );
+        assert!(duplicate_top_level_keys(&t).is_empty(), "{t}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn duplicate_keys_are_found_at_the_top_level_only() {
+        let doc = "{\"a\": {\"b\": 1, \"b\": 2}, \"c\": \"a\", \"a\": 3, \"c\": [1], \"a\": 4}";
+        assert_eq!(duplicate_top_level_keys(doc), ["a", "c"]);
+        assert!(duplicate_top_level_keys("{\"a\": {\"a\": 1}}").is_empty());
     }
 
     #[test]

@@ -5,7 +5,8 @@ use crate::report::FitReport;
 use crate::round::Rounds;
 use crate::sampler::AlphaSchedule;
 use spe_data::{
-    BinIndex, Dataset, Matrix, MatrixView, SanitizePolicy, Sanitizer, SeededRng, SpeError,
+    BinIndex, BinaryIndex, Dataset, Matrix, MatrixView, SanitizePolicy, Sanitizer, SeededRng,
+    SpeError,
 };
 use spe_learners::binscore::CodeScorer;
 use spe_learners::ensemble::SoftVoteEnsemble;
@@ -221,20 +222,7 @@ impl SelfPacedEnsembleConfig {
         warm: Option<&[f64]>,
         trace: Option<&mut FitTrace>,
     ) -> Result<SelfPacedEnsemble, SpeError> {
-        if self.n_estimators == 0 {
-            return Err(SpeError::InvalidConfig(
-                "need at least one estimator".into(),
-            ));
-        }
-        if self.k_bins == 0 {
-            return Err(SpeError::InvalidConfig("need at least one bin".into()));
-        }
-        if self.min_members > self.n_estimators {
-            return Err(SpeError::InvalidConfig(format!(
-                "min_members ({}) exceeds n_estimators ({})",
-                self.min_members, self.n_estimators
-            )));
-        }
+        self.validate()?;
         if data.is_empty() {
             return Err(SpeError::EmptyDataset);
         }
@@ -252,19 +240,68 @@ impl SelfPacedEnsembleConfig {
         );
 
         self.runtime.install(|| {
-            self.budget
-                .install(|| self.fit_validated(&clean, seed, sanitize_report, warm, trace))
+            self.budget.install(|| {
+                self.fit_validated(
+                    clean.x(),
+                    clean.y(),
+                    None,
+                    seed,
+                    sanitize_report,
+                    warm,
+                    trace,
+                )
+            })
         })
     }
 
-    /// Algorithm 1 proper, with per-member fault isolation; input
-    /// preconditions already checked. On the healthy path (no panics, no
-    /// NaN members, no budget trips) this is bit-for-bit the original
-    /// sequential loop: the parent RNG advances identically and every
-    /// member trains from `rng.fork(i)`.
-    fn fit_validated(
+    /// The configuration checks every fit entry runs before touching
+    /// data.
+    pub(crate) fn validate(&self) -> Result<(), SpeError> {
+        if self.n_estimators == 0 {
+            return Err(SpeError::InvalidConfig(
+                "need at least one estimator".into(),
+            ));
+        }
+        if self.k_bins == 0 {
+            return Err(SpeError::InvalidConfig("need at least one bin".into()));
+        }
+        if self.min_members > self.n_estimators {
+            return Err(SpeError::InvalidConfig(format!(
+                "min_members ({}) exceeds n_estimators ({})",
+                self.min_members, self.n_estimators
+            )));
+        }
+        Ok(())
+    }
+
+    /// The bin-space learner and its bin cap when a fit with `n_pos`
+    /// minority and `n_neg` majority rows takes the histogram fast path:
+    /// the base learner trains on a shared bin index and each member's
+    /// training set (`|P| + min(|P|, |N|)` rows) is large enough to
+    /// amortize quantization.
+    pub(crate) fn binned_path(
         &self,
-        data: &Dataset,
+        n_pos: usize,
+        n_neg: usize,
+    ) -> Option<(&dyn BinnedLearner, usize)> {
+        let learner = self.base.as_binned()?;
+        let req = learner.bin_request()?;
+        (n_pos + n_pos.min(n_neg) >= req.min_rows).then_some((learner, req.max_bins))
+    }
+
+    /// Algorithm 1 proper, with per-member fault isolation, on the
+    /// cleaned matrix `x` and its binary labels `y`; input preconditions
+    /// already checked. `bins`, when given, is an index of `x` built with
+    /// [`Self::binned_path`]'s bin cap, used in place of building one.
+    /// On the healthy path (no panics, no NaN members, no budget trips)
+    /// this is bit-for-bit the original sequential loop: the parent RNG
+    /// advances identically and every member trains from `rng.fork(i)`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn fit_validated(
+        &self,
+        x: &Matrix,
+        y: &[u8],
+        bins: Option<&BinIndex>,
         seed: u64,
         sanitize_report: spe_data::SanitizeReport,
         warm: Option<&[f64]>,
@@ -272,7 +309,7 @@ impl SelfPacedEnsembleConfig {
     ) -> Result<SelfPacedEnsemble, SpeError> {
         let mut rng = SeededRng::new(seed);
 
-        let idx = data.class_index();
+        let idx = BinaryIndex::of_labels(y);
         let n_pos = idx.minority.len();
         let n_neg = idx.majority.len();
 
@@ -282,26 +319,28 @@ impl SelfPacedEnsembleConfig {
         let warm_proba: Option<Vec<f64>> =
             warm.map(|p| idx.majority.iter().map(|&r| p[r]).collect());
 
-        // Histogram fast path: when the base learner can train on a
-        // shared bin index and the per-member training sets are large
-        // enough to amortize quantization, bin the full (cleaned)
-        // matrix once — every member then trains on row ids of this
-        // index, and every majority row is rescored straight from its
-        // codes. Otherwise (no bin support, or too few rows to amortize
-        // binning) members train on and rescore dense copies of the two
-        // classes.
-        let store = match self.base.as_binned().and_then(|bl| {
-            let req = bl.bin_request()?;
-            (n_pos + n_pos.min(n_neg) >= req.min_rows).then_some((bl, req.max_bins))
-        }) {
+        // Histogram fast path: bin the full (cleaned) matrix once, or
+        // borrow the caller's index of it — every member then trains on
+        // row ids of this index, and every majority row is rescored
+        // straight from its codes. Otherwise (no bin support, or too few
+        // rows to amortize binning) members train on and rescore dense
+        // copies of the two classes.
+        let built: BinIndex;
+        let store = match self.binned_path(n_pos, n_neg) {
             Some((learner, max_bins)) => RowStore::Binned {
                 learner,
-                bins: BinIndex::build(data.x(), max_bins),
+                bins: match bins {
+                    Some(shared) => shared,
+                    None => {
+                        built = BinIndex::build(x, max_bins);
+                        &built
+                    }
+                },
                 majority_ids: idx.majority.iter().map(|&r| r as u32).collect(),
             },
             None => RowStore::Dense {
-                minority_x: data.x().select_rows(&idx.minority),
-                majority_x: data.x().select_rows(&idx.majority),
+                minority_x: x.select_rows(&idx.minority),
+                majority_x: x.select_rows(&idx.majority),
             },
         };
 
@@ -325,7 +364,7 @@ impl SelfPacedEnsembleConfig {
                         let model = self.train_member_binned(
                             *learner,
                             bins,
-                            data.y(),
+                            y,
                             &idx.minority,
                             majority_ids,
                             selected,
@@ -406,10 +445,11 @@ impl SelfPacedEnsembleConfig {
 
 /// Where the in-memory loop's members train and rescore from.
 enum RowStore<'a> {
-    /// The shared bin index; majority rows are scored in code space.
+    /// The bin index of the whole matrix; majority rows are scored in
+    /// code space.
     Binned {
         learner: &'a dyn BinnedLearner,
-        bins: BinIndex,
+        bins: &'a BinIndex,
         /// Row id in `bins` of every majority position.
         majority_ids: Vec<u32>,
     },

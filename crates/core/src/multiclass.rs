@@ -28,12 +28,13 @@
 
 use crate::ensemble::{SelfPacedEnsemble, SelfPacedEnsembleConfig};
 use crate::sampler::{BalancingSchedule, SelfPacedSampler};
-use spe_data::{Dataset, MatrixView, Sanitizer, SeededRng, SpeError};
+use spe_data::{BinIndex, Dataset, MatrixView, Sanitizer, SeededRng, SpeError};
 use spe_learners::ensemble::SoftVoteEnsemble;
 use spe_learners::multiclass::OneVsRestModel;
 use spe_learners::persist::ModelSnapshot;
 use spe_learners::traits::{ConstantModel, FeatureBound, Model};
-use spe_runtime::fork_seed;
+use spe_learners::tree::release_scratch;
+use spe_runtime::{current_threads, fork_seed, par_map_indexed, Runtime};
 
 /// How a k-class SPE decomposes the problem.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -136,27 +137,63 @@ impl MultiClassSpeConfig {
 
     /// One binary SPE per class (class `c` = positive, rest = negative),
     /// each seeded from an independent fork of `seed`.
+    ///
+    /// The k problems share everything that does not depend on the
+    /// labels: the input is sanitized once, and one bin index of the
+    /// cleaned matrix is built when any class takes the histogram fast
+    /// path. The classes then fit concurrently, each under a thread cap
+    /// of `max(1, threads / k)`. Every class fit is a pure function of
+    /// its seed, so the model is the same for every thread count, and
+    /// bit-identical to k separate binary fits.
     fn fit_one_vs_rest(&self, data: &Dataset, seed: u64) -> Result<OneVsRestModel, SpeError> {
         let k = data.n_classes();
-        let counts = data.class_counts();
-        if let Some(missing) = counts.iter().position(|&c| c == 0) {
+        if let Some(missing) = data.class_counts().iter().position(|&c| c == 0) {
             return Err(SpeError::EmptyClass {
                 label: missing as u8,
             });
         }
-        let mut per_class: Vec<Box<dyn Model>> = Vec::with_capacity(k);
-        for c in 0..k {
-            let binary_y: Vec<u8> = data
-                .y()
-                .iter()
-                .map(|&l| u8::from(l as usize == c))
-                .collect();
-            let sub = Dataset::new(data.x().clone(), binary_y);
-            let spe = self
-                .binary
-                .try_fit_dataset(&sub, fork_seed(seed, 0x0C1A5500 + c as u64))?;
-            per_class.push(Box::new(spe));
-        }
+        let cfg = &self.binary;
+        cfg.validate()?;
+        let (clean, report) = Sanitizer::new(cfg.sanitize).sanitize(data)?;
+        let n = clean.len();
+        let bins = clean
+            .class_counts()
+            .iter()
+            .find_map(|&n_pos| cfg.binned_path(n_pos, n - n_pos))
+            .map(|(_, max_bins)| BinIndex::build(clean.x(), max_bins));
+        let per_class_threads =
+            Runtime::with_threads((cfg.runtime.install(current_threads) / k).max(1));
+        let fits = cfg.runtime.install(|| {
+            par_map_indexed(k, |c| {
+                let y: Vec<u8> = clean
+                    .y()
+                    .iter()
+                    .map(|&l| u8::from(l as usize == c))
+                    .collect();
+                let fit = per_class_threads.install(|| {
+                    cfg.budget.install(|| {
+                        cfg.fit_validated(
+                            clean.x(),
+                            &y,
+                            bins.as_ref(),
+                            fork_seed(seed, 0x0C1A5500 + c as u64),
+                            report.clone(),
+                            None,
+                            None,
+                        )
+                    })
+                });
+                // Free the tree buffers sized for this class: a pool
+                // worker may idle for long after it, and keeping them on
+                // the calling thread measured worse for peak RSS too.
+                release_scratch();
+                fit
+            })
+        });
+        let per_class = fits
+            .into_iter()
+            .map(|fit| fit.map(|spe| Box::new(spe) as Box<dyn Model>))
+            .collect::<Result<_, _>>()?;
         Ok(OneVsRestModel::new(per_class))
     }
 

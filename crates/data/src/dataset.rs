@@ -122,16 +122,7 @@ impl Dataset {
     /// Minority/majority row indices (binary convention: class 1 is the
     /// minority).
     pub fn class_index(&self) -> BinaryIndex {
-        let mut minority = Vec::new();
-        let mut majority = Vec::new();
-        for (i, &l) in self.y.iter().enumerate() {
-            if l == POSITIVE {
-                minority.push(i);
-            } else {
-                majority.push(i);
-            }
-        }
-        BinaryIndex { minority, majority }
+        BinaryIndex::of_labels(&self.y)
     }
 
     /// Number of positive (minority) samples.
@@ -211,6 +202,23 @@ pub struct BinaryIndex {
     pub minority: Vec<usize>,
     /// Indices of negative (majority) samples.
     pub majority: Vec<usize>,
+}
+
+impl BinaryIndex {
+    /// Splits row ids by binary label: class 1 rows are the minority,
+    /// every other label the majority.
+    pub fn of_labels(y: &[u8]) -> Self {
+        let mut minority = Vec::new();
+        let mut majority = Vec::new();
+        for (i, &l) in y.iter().enumerate() {
+            if l == POSITIVE {
+                minority.push(i);
+            } else {
+                majority.push(i);
+            }
+        }
+        Self { minority, majority }
+    }
 }
 
 #[cfg(test)]

@@ -13,8 +13,20 @@
 //! trick: `hist(parent) = hist(left) + hist(right)`, so after computing
 //! the *smaller* child's histogram the sibling comes from an O(bins)
 //! subtraction instead of an O(rows · features) re-accumulation.
+//!
+//! Parallelism here is reserved for large nodes (the root and the first
+//! levels of a tree over many rows): only a node with at least
+//! [`PAR_MIN_CELLS`] row-feature cells splits its features across the
+//! pool. Every smaller node accumulates inline, where a pool hand-off
+//! costs more than the sums. The workspace's wider parallel axes sit
+//! above the tree: row-parallel rescoring and concurrent one-vs-rest
+//! classes (`spe_core`).
 
 use spe_data::BinIndex;
+
+/// Fewest `rows × features` cells for which [`accumulate`] splits the
+/// features of one node across the pool.
+const PAR_MIN_CELLS: usize = 1 << 17;
 
 /// One bin's accumulated statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -63,9 +75,11 @@ impl HistLayout {
 /// Fills `out` (layout-sized, will be zeroed) with per-bin sums of
 /// `(a[r], b[r])` over the given rows, for every feature.
 ///
-/// Features are processed in parallel on the shared runtime; each
-/// feature's bins are summed sequentially in row order, so the result is
-/// independent of thread count.
+/// A node of at least [`PAR_MIN_CELLS`] cells (`rows.len()` times the
+/// feature count) processes its features in parallel on the shared
+/// runtime; a smaller one runs them one after another on the calling
+/// thread. Either way each feature's bins are summed sequentially in row
+/// order, so the result is independent of the path and the thread count.
 pub(crate) fn accumulate(
     bins: &BinIndex,
     rows: &[u32],
@@ -76,6 +90,12 @@ pub(crate) fn accumulate(
 ) {
     debug_assert_eq!(out.len(), layout.total());
     out.fill(BinStat::default());
+    if rows.len() * bins.n_features() < PAR_MIN_CELLS {
+        for f in 0..bins.n_features() {
+            accumulate_feature(bins, rows, a, b, f, &mut out[layout.feature_range(f)]);
+        }
+        return;
+    }
     // Carve the flat buffer into disjoint per-feature slices so the
     // parallel fill needs no locks.
     let mut slices: Vec<&mut [BinStat]> = Vec::with_capacity(bins.n_features());
@@ -178,6 +198,43 @@ mod tests {
         let tot0: f64 = out[..3].iter().map(|s| s.a).sum();
         let tot1: f64 = out[3..].iter().map(|s| s.a).sum();
         assert_eq!(tot0, tot1);
+    }
+
+    #[test]
+    fn inline_and_parallel_nodes_sum_identically() {
+        // 4 features: the work floor falls at 32768 rows.
+        let (n, d) = (PAR_MIN_CELLS / 4 + 64, 4);
+        let mut rng = spe_data::SeededRng::new(17);
+        let x = Matrix::from_vec(n, d, (0..n * d).map(|_| rng.normal(0.0, 1.0)).collect());
+        let bins = BinIndex::build(&x, 64);
+        let layout = HistLayout::new(&bins);
+        let a: Vec<f64> = (0..n).map(|_| rng.uniform() * 3.0).collect();
+        let b: Vec<f64> = a
+            .iter()
+            .map(|&w| w * f64::from(u8::from(rng.uniform() < 0.2)))
+            .collect();
+        // A bootstrap-like draw (repeats, no order), cut either side of the floor.
+        let all: Vec<u32> = (0..n).map(|_| rng.below(n) as u32).collect();
+        for len in [PAR_MIN_CELLS / d - 1, PAR_MIN_CELLS / d, n] {
+            let rows = &all[..len];
+            assert_eq!(rows.len() * d >= PAR_MIN_CELLS, len >= PAR_MIN_CELLS / d);
+            let mut want = vec![BinStat::default(); layout.total()];
+            for f in 0..d {
+                accumulate_feature(&bins, rows, &a, &b, f, &mut want[layout.feature_range(f)]);
+            }
+            for threads in [1, 2, 4] {
+                let mut got = vec![BinStat::default(); layout.total()];
+                spe_runtime::Runtime::with_threads(threads)
+                    .install(|| accumulate(&bins, rows, &a, &b, &layout, &mut got));
+                // Bit-for-bit, not approximately: same sums in the same order.
+                let bits = |h: &[BinStat]| -> Vec<(u64, u64, u32)> {
+                    h.iter()
+                        .map(|s| (s.a.to_bits(), s.b.to_bits(), s.n))
+                        .collect()
+                };
+                assert_eq!(bits(&got), bits(&want), "{len} rows, {threads} threads");
+            }
+        }
     }
 
     #[test]

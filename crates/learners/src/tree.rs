@@ -379,6 +379,14 @@ thread_local! {
     static SCRATCH: Cell<TreeScratch> = Cell::new(TreeScratch::default());
 }
 
+/// Frees this thread's reusable tree-fit buffers; the next fit on the
+/// thread starts from empty ones. Called when a batch of fits that may
+/// have run on a pool worker ends (one class of a one-vs-rest SPE), so
+/// buffers sized for that batch do not stay resident on an idle worker.
+pub fn release_scratch() {
+    SCRATCH.with(|cell| drop(cell.take()));
+}
+
 /// Runs `f` with this thread's [`TreeScratch`], restoring it (with any
 /// grown capacity) afterwards. A panic inside `f` loses the buffers —
 /// the next fit simply starts from empty ones.

@@ -13,10 +13,16 @@
 //!   must load as a binary model with identical scores.
 //! - A v2 header whose class count disagrees with its payload is
 //!   `Corrupt`, not silently trusted.
+//! - **One-vs-rest shares its inputs without changing a bit**: the k
+//!   classes fit concurrently over one sanitized matrix and one bin
+//!   index, and the model equals k separate binary fits, for every
+//!   thread count and whichever classes take the histogram fast path.
 
 use proptest::prelude::*;
 use spe::prelude::*;
-use spe::serve::{fnv1a, load_envelope, load_model, save_model, FORMAT_VERSION, MAGIC};
+use spe::serve::{
+    fnv1a, load_envelope, load_model, save_model, ModelEnvelope, FORMAT_VERSION, MAGIC,
+};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -203,4 +209,156 @@ fn kway_class_predictions_beat_chance_on_every_class() {
         assert!(*r > 0.25, "class {c} recall {r} is at or below chance");
     }
     assert!(cm.macro_f1() > 0.5, "macro-F1 {}", cm.macro_f1());
+}
+
+/// Hash of the persisted snapshot bytes of `model`.
+fn model_hash(model: &dyn Model) -> u64 {
+    let snapshot = model.snapshot().expect("SPE models are snapshottable");
+    fnv1a(&ModelEnvelope::new(snapshot, Vec::new()).encode())
+}
+
+fn tree(split_method: SplitMethod) -> SharedLearner {
+    std::sync::Arc::new(DecisionTreeConfig {
+        split_method,
+        ..DecisionTreeConfig::default()
+    })
+}
+
+/// The one-vs-rest model as k independent binary SPE fits: class `c`
+/// against the rest on its own copy of the raw data, seeded as the
+/// k-way fit seeds class `c`.
+fn separate_binary_fits(
+    cfg: &SelfPacedEnsembleConfig,
+    data: &Dataset,
+    seed: u64,
+) -> OneVsRestModel {
+    let per_class = (0..data.n_classes())
+        .map(|c| {
+            let y = data
+                .y()
+                .iter()
+                .map(|&l| u8::from(l as usize == c))
+                .collect();
+            let sub = Dataset::new(data.x().clone(), y);
+            let spe = cfg
+                .try_fit_dataset(&sub, fork_seed(seed, 0x0C1A5500 + c as u64))
+                .unwrap_or_else(|e| panic!("class {c}: {e}"));
+            Box::new(spe) as Box<dyn Model>
+        })
+        .collect();
+    OneVsRestModel::new(per_class)
+}
+
+#[test]
+fn one_vs_rest_fit_is_pinned_for_every_thread_count() {
+    // The data, config and hash of `golden_models::one_vs_rest_fit_is_pinned`.
+    let data = multiclass_checkerboard(&MultiClassCheckerboardConfig::geometric(4, 2400, 3.0), 4);
+    for threads in [1, 2, 4] {
+        let model = MultiClassSpeConfig {
+            binary: SelfPacedEnsembleConfig {
+                runtime: Runtime::with_threads(threads),
+                ..SelfPacedEnsembleConfig::with_base(6, tree(SplitMethod::Histogram))
+            },
+            ..MultiClassSpeConfig::default()
+        }
+        .try_fit_dataset(&data, 14)
+        .unwrap();
+        assert_eq!(
+            model_hash(&model),
+            11102120135559519133,
+            "{threads} threads"
+        );
+    }
+}
+
+#[test]
+fn one_vs_rest_with_binned_and_dense_classes_equals_separate_binary_fits() {
+    // Class counts 2400, 800, 267, 89: a class takes the binned path when
+    // its member training set (2 × its count here) reaches the threshold.
+    let data = multiclass_checkerboard(&MultiClassCheckerboardConfig::geometric(4, 2400, 3.0), 8);
+    let threshold = 1000;
+    let binned: Vec<bool> = data
+        .class_counts()
+        .iter()
+        .map(|&n_pos| n_pos + n_pos.min(data.len() - n_pos) >= threshold)
+        .collect();
+    assert!(
+        binned.contains(&true) && binned.contains(&false),
+        "{binned:?}"
+    );
+    for threads in [1, 2] {
+        let cfg = SelfPacedEnsembleConfig {
+            runtime: Runtime::with_threads(threads),
+            ..SelfPacedEnsembleConfig::with_base(5, tree(SplitMethod::Auto { threshold }))
+        };
+        let kway = MultiClassSpeConfig {
+            binary: cfg.clone(),
+            ..MultiClassSpeConfig::default()
+        }
+        .try_fit_dataset(&data, 21)
+        .unwrap();
+        let separate = separate_binary_fits(&cfg, &data, 21);
+        assert_eq!(
+            model_hash(&kway),
+            model_hash(&separate),
+            "{threads} threads"
+        );
+        assert_eq!(
+            kway.predict_proba_k(data.x()),
+            separate.predict_proba_k(data.x())
+        );
+    }
+}
+
+/// A 3-class board with a NaN cell in every 7th row.
+fn dirty_kway() -> Dataset {
+    let data = kway_data(3, 5);
+    let mut x = data.x().clone();
+    for r in (0..data.len()).step_by(7) {
+        x.row_mut(r)[r % 2] = f64::NAN;
+    }
+    data.with_x(x)
+}
+
+#[test]
+fn one_vs_rest_sanitizes_once_like_per_class() {
+    let data = dirty_kway();
+    let cfg = SelfPacedEnsembleConfig {
+        sanitize: SanitizePolicy::ImputeMean,
+        ..SelfPacedEnsembleConfig::with_base(4, tree(SplitMethod::Histogram))
+    };
+    let kway = MultiClassSpeConfig {
+        binary: cfg.clone(),
+        ..MultiClassSpeConfig::default()
+    }
+    .try_fit_dataset(&data, 3)
+    .unwrap();
+    let separate = separate_binary_fits(&cfg, &data, 3);
+    assert_eq!(model_hash(&kway), model_hash(&separate));
+}
+
+#[test]
+fn dropping_every_row_of_a_class_names_that_class() {
+    // Every row of class 2 holds a NaN; the other classes keep most rows.
+    let data = kway_data(3, 6);
+    let mut x = data.x().clone();
+    for r in 0..data.len() {
+        if data.y()[r] == 2 || r % 11 == 0 {
+            x.row_mut(r)[0] = f64::NAN;
+        }
+    }
+    let data = data.with_x(x);
+    for strategy in [MultiClassStrategy::OneVsRest, MultiClassStrategy::Native] {
+        let err = MultiClassSpeConfig {
+            binary: SelfPacedEnsembleConfig {
+                sanitize: SanitizePolicy::DropRows,
+                ..SelfPacedEnsembleConfig::new(3)
+            },
+            ..MultiClassSpeConfig::default()
+        }
+        .strategy(strategy)
+        .try_fit_dataset(&data, 1)
+        .unwrap_err();
+        assert_eq!(err, SpeError::EmptyClass { label: 2 }, "{strategy:?}");
+    }
 }
